@@ -81,7 +81,13 @@ def _rows(sf, sweep_values):
         for eng in sf.run.engines:
             for seed in sf.run.seeds:
                 sc = sf.scenario(eng, seed, sweep_value=value)
-                nums = run_simulation(sc).metrics.numbers(ids)
+                try:
+                    nums = run_simulation(sc).metrics.numbers(ids)
+                except SolverError as e:
+                    where = "" if value is None else f"sweep value {_fmt(value)}, "
+                    raise SolverError(f"{where}engine {eng.key}, seed {seed}: {e}",
+                                      residuals=e.residuals,
+                                      iterations=e.iterations) from e
                 row = [sf.label or "scenario", eng.key,
                        "" if eng.alpha is None else _fmt(eng.alpha),
                        str(seed),

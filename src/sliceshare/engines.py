@@ -5,14 +5,15 @@ weights and return a SolveResult whose allocation respects every capacity
 constraint within tolerance.
 
 solve_alpha_scs maximizes sum_c q_c * (phi_c/q_c)^(1-alpha) / (1-alpha)
-(the log form at alpha=1) subject to the capacity constraints, by iterating
-resource prices: stationarity pins phi_c = q_c * price_c^(-1/alpha) with
-price_c = sum_r d_c^r nu_r, and prices move multiplicatively by
-nu_r <- nu_r * usage_r^kappa until feasibility and complementary slackness
-hold.  maxmin_waterfill computes the weighted max-min allocation exactly by
-progressive filling.  class_alpha_fair swaps the per-user weighting for a
-class-level alpha-fair objective.  static_partition solves each slice alone
-on a share-scaled copy of the resources.
+(the log form at alpha=1) subject to the capacity constraints by
+minimizing its dual over the resource prices nu >= 0: stationarity pins
+phi_c = q_c * price_c^(-1/alpha) with price_c = sum_r d_c^r nu_r, and a
+projected Newton method (Bertsekas 1982) drives the prices until
+feasibility and complementary slackness hold.  maxmin_waterfill computes
+the weighted max-min allocation exactly by progressive filling.
+class_alpha_fair swaps the per-user weighting for a class-level alpha-fair
+objective.  static_partition solves each slice alone on a share-scaled copy
+of the resources.
 """
 
 from dataclasses import dataclass
@@ -37,7 +38,6 @@ class SolverError(RuntimeError):
 class SolverOptions:
     tol: float = 1e-8
     max_iters: int = 100_000
-    step_clip: float = 2.0
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -73,114 +73,88 @@ def _weight_array(weights):
     return q
 
 
-def _price_iteration(Dn, g, alpha, opts, warm=None):
-    """Multiplicative dual ascent on the normalized problem (capacities 1).
+def _kkt(Dn, nu, price, rates):
+    """(gradient, feasibility, slackness) of the dual at nu.
 
-    Dn and g cover positive-weight classes only.  Returns
-    (rates, prices, iterations, feasibility residual, slackness residual,
-    converged flag).
+    A resource only counts for slackness while its dual carries weight in
+    some class price; an absolute test on nu would be blind to the price
+    scale, which spans dozens of decades at large alpha.
     """
-    n_res = Dn.shape[1]
-    inv_alpha = 1.0 if abs(alpha - 1.0) < ALPHA_ONE_THRESHOLD else 1.0 / alpha
-    used = Dn.max(axis=0) > 0.0
-    if warm is not None and np.isfinite(warm).all():
-        nu = np.where(used, np.maximum(np.asarray(warm, float), 1e-10), 0.0)
-    else:
-        nu = np.where(used, 1.0 / n_res, 0.0)
+    grad = 1.0 - rates @ Dn
+    relevant = ((Dn * nu) / price[:, None]).max(axis=0) > 1e-9
+    return (grad, max(0.0, -float(grad.min())),
+            float(np.abs(grad[relevant]).max(initial=0.0)))
 
-    kappa0 = float(np.clip(alpha, 1e-2, 64.0))
-    kappa = np.full(n_res, kappa0)
-    log_g = np.log(g)
-    rates = np.zeros(len(g))
-    usage = np.zeros(n_res)
-    feas = cs = np.inf
-    prev_logu = None
-    flipped_prev = np.zeros(n_res, dtype=bool)
-    calm = np.zeros(n_res, dtype=int)
-    boost = np.ones(n_res)
-    side = np.zeros(n_res)
-    run = np.zeros(n_res, dtype=int)
+
+def _price_iteration(Dn, g, alpha, opts, warm=None):
+    """Projected Newton on the dual of the normalized problem (capacities 1).
+
+    Dn and g cover positive-weight classes and the resources they use.  The
+    dual f(nu) = sum_r nu_r + sum_c T_c(p_c), p = Dn nu, with
+    T_c = -g_c log p_c at alpha=1 and alpha/(1-alpha) phi_c p_c otherwise,
+    is smooth and convex on nu >= 0 (Mo & Walrand 2000): its gradient is
+    1 - usage and its Hessian Dn^T diag(phi / (alpha p)) Dn.  A dual whose
+    gradient is positive and whose diagonal Newton step would carry it past
+    zero is held on the bound and steps by that scaled gradient; the others
+    take a Newton step, Levenberg-damped because the Hessian is singular
+    whenever fewer classes than resources are live.  Armijo backtracking
+    along the projected arc keeps every price positive (Bertsekas 1982).
+    Returns (rates, prices, iterations, feasibility residual, slackness
+    residual, converged flag); a failed line search ends the iteration
+    early.
+    """
+    inv_alpha = 1.0 if abs(alpha - 1.0) < ALPHA_ONE_THRESHOLD else 1.0 / alpha
+    k = 1.0 - inv_alpha
+    nu = None if warm is None else np.maximum(warm, 0.0)
+    if nu is None or not np.isfinite(nu).all() or not (Dn @ nu > 0.0).all():
+        # cold: equal duals, scaled so the busiest resource is exactly full;
+        # at large alpha the optimal duals are tiny (~1e-35 at alpha=50)
+        peak = (g * Dn.sum(axis=1) ** -inv_alpha) @ Dn
+        nu = np.full(Dn.shape[1], peak.max() ** (1.0 / inv_alpha))
+    price = Dn @ nu
     for it in range(1, opts.max_iters + 1):
-        price = Dn @ nu
-        rates = np.exp(log_g - inv_alpha * np.log(price))
-        usage = rates @ Dn
-        over = usage - 1.0
-        feas = max(float(over.max()), 0.0)
-        # a resource only matters while its dual carries weight in some price;
-        # duals of slack resources decay until they fall below relevance and
-        # drop out of the test (absolute nu*|1-usage| would be scale-blind)
-        relevant = ((Dn * nu) / price[:, None]).max(axis=0) > 1e-9
-        cs = float(np.abs(over[relevant]).max(initial=0.0))
-        res = feas if feas > cs else cs
+        rates = g * price ** -inv_alpha
+        grad, feas, cs = _kkt(Dn, nu, price, rates)
+        res = max(feas, cs)
         if res <= opts.tol:
             return rates, nu, it, feas, cs, True
-        pos = usage > 0.0
-        log_u = np.log(usage, out=np.zeros_like(usage), where=pos)
-
-        # Newton sweep on the price-carrying duals: log-usage responds to
-        # log-duals through -(1/alpha) M P, both factors row-normalized,
-        # so one small lstsq snaps the live duals onto the usage-1
-        # manifold once the iterate is near its basin.  Keep the step only
-        # if the residual actually improves.
-        if it % 8 == 0 and relevant.any():
-            A = np.flatnonzero(relevant)
-            M = (Dn[:, A] * rates[:, None]).T / usage[A][:, None]
-            P = (Dn[:, A] * nu[A]) / price[:, None]
-            dx, *_ = np.linalg.lstsq(M @ P, log_u[A], rcond=1e-10)
-            if np.isfinite(dx).all():
-                cand = nu.copy()
-                cand[A] = nu[A] * np.exp(np.clip(dx / inv_alpha, -3.0, 3.0))
-                c_price = Dn @ cand
-                c_rates = np.exp(log_g - inv_alpha * np.log(c_price))
-                c_usage = c_rates @ Dn
-                c_over = c_usage - 1.0
-                c_rel = ((Dn * cand) / c_price[:, None]).max(axis=0) > 1e-9
-                c_res = max(float(c_over.max()), 0.0,
-                            float(np.abs(c_over[c_rel]).max(initial=0.0)))
-                if c_res < res:
-                    nu = cand
-                    prev_logu = None
-                    flipped_prev[:] = False
-                    continue
-
-        # a dual whose usage crosses 1 on consecutive iterations is
-        # overshooting; halve its own step so one hovering resource does
-        # not stall the rest
-        if prev_logu is not None:
-            flip = (log_u * prev_logu < 0) & (np.abs(log_u) > 1e-9) & relevant
-            two = flip & flipped_prev
-            kappa = np.where(two, np.maximum(kappa * 0.5, 1e-3), kappa)
-            flipped_prev = flip & ~two
-            calm = np.where(flip, 0, calm + 1)
-            rec = (calm >= 50) & (kappa < kappa0)
-            if rec.any():
-                kappa[rec] = np.minimum(kappa[rec] * 1.3, kappa0)
-                calm[rec] = 0
-        prev_logu = log_u.copy()
-        # the plain step moves a dual only in proportion to |log usage|,
-        # which decays degenerate binds (usage -> 1 from below with a
-        # vanishing dual) harmonically and wakes floored duals under a
-        # newly tight resource just as slowly.  double the step of any
-        # dual whose usage sat strictly on one side of 1 for a whole
-        # window; changing side resets the boost.
-        side_now = np.sign(log_u)
-        cont = (side_now == side) & (side_now != 0.0)
-        run = np.where(cont, run + 1, 0)
-        boost = np.where(cont, boost, 1.0)
-        side = side_now
-        ramp = run >= 16
-        if ramp.any():
-            boost[ramp] = np.minimum(boost[ramp] * 2.0, 2.0 ** 30)
-            run[ramp] = 0
-        step = np.clip(kappa * boost * log_u, -opts.step_clip, opts.step_clip)
-        nu = nu * np.exp(step)
-        # slack duals must decay below relevance but stay within waking
-        # distance in case the active set shifts on a later warm start;
-        # floor each one relative to the cheapest price it feeds
-        ratio = price[:, None] / np.where(Dn > 0.0, Dn, 1.0)
-        lo = 1e-18 * np.min(np.where(Dn > 0.0, ratio, np.inf), axis=0,
-                            initial=np.inf)
-        nu = np.where(pos, np.maximum(nu, np.where(np.isfinite(lo), lo, 0.0)), 0.0)
+        H = Dn.T @ ((inv_alpha * rates / price)[:, None] * Dn)
+        h = H.diagonal()
+        held = (grad > 0.0) & (nu * h <= grad)
+        free = ~held
+        step = grad / h
+        if free.any():
+            Hf = H[np.ix_(free, free)]
+            Hf[np.diag_indices_from(Hf)] *= 1.0 + min(res, 1.0)
+            step[free] = np.linalg.solve(Hf, grad[free])
+        slope_free = float(grad[free] @ step[free])
+        t = 1.0
+        for _ in range(64):
+            cand = np.maximum(nu - t * step, 0.0)
+            c_price = Dn @ cand
+            if (c_price > 0.0).all():
+                moved = nu - cand
+                # f(cand) - f(nu) from log1p of the price change stays
+                # accurate where f itself is lost to round-off; a price
+                # that vanishes gives log1p(-1) = -inf, the right limit
+                with np.errstate(divide="ignore"):
+                    log_ratio = np.log1p(-(Dn @ moved) / price)
+                terms = rates * price * (log_ratio if k == 0.0
+                                         else np.expm1(k * log_ratio) / k)
+                df = -float(moved.sum()) - float(terms.sum())
+                if df <= -1e-4 * (t * slope_free + float(grad[held] @ moved[held])):
+                    break
+                # duals decades apart in scale: the change the small ones
+                # make is below the round-off of the large ones' terms, so
+                # only the KKT residual can tell progress
+                if abs(df) <= 1e-12 * float(np.abs(moved).sum() + np.abs(terms).sum()):
+                    _, c_feas, c_cs = _kkt(Dn, cand, c_price, g * c_price ** -inv_alpha)
+                    if max(c_feas, c_cs) < res:
+                        break
+            t *= 0.5
+        else:
+            return rates, nu, it, feas, cs, False
+        nu, price = cand, c_price
     return rates, nu, opts.max_iters, feas, cs, False
 
 
@@ -201,14 +175,18 @@ def _solve_with_caps(instance, q_full, alpha, caps, opts, warm_duals=None):
     if not active.any():
         return SolveResult(Allocation(tuple(rates), tuple(duals)), 0,
                            Residuals(0.0, 0.0, 0.0))
-    Dn = D[np.ix_(active, open_res)] / caps[open_res]
+    # resources no live class uses keep a zero dual and stay out of the
+    # iteration, where their Hessian diagonal would be zero
+    cols = open_res & (D[active] > 0).any(axis=0)
+    Dn = D[np.ix_(active, cols)] / caps[cols]
     warm = None
     if warm_duals is not None:
-        warm = np.asarray(warm_duals, float)[open_res] * caps[open_res]
+        warm = np.asarray(warm_duals, float)[cols] * caps[cols]
     r, nu, iters, feas, cs, ok = _price_iteration(Dn, q_full[active], alpha, opts, warm)
     if not ok:
         raise SolverError(
-            f"price iteration did not reach tol={opts.tol} in {opts.max_iters} iterations",
+            f"price iteration did not reach tol={opts.tol} "
+            f"(stopped after {iters} of {opts.max_iters} iterations)",
             residuals=Residuals(feas, cs, 0.0), iterations=iters)
     rates[active] = r
     # converged iterates may overshoot capacity by O(tol); rescale so the
@@ -218,7 +196,7 @@ def _solve_with_caps(instance, q_full, alpha, caps, opts, warm_duals=None):
     if peak > 1.0:
         rates /= peak
         feas = 0.0
-    duals[open_res] = nu / caps[open_res]
+    duals[cols] = nu / caps[cols]
     return SolveResult(Allocation(tuple(rates), tuple(duals)), iters,
                        Residuals(feas, cs, 0.0))
 

@@ -9,7 +9,6 @@ trade speed for trustworthiness.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .model import Allocation
 
@@ -29,6 +28,10 @@ def oracle_concave_opt(instance, weights, alpha, tol=1e-12, max_iters=500) -> Al
     programming solve (analytic gradients, feasible interior start),
     retrying with a trust-region method if that reports failure.
     """
+    # imported here: scipy costs about half a second and only this
+    # cross-check needs it, not the engines or the simulator
+    from scipy import optimize
+
     q_full = np.asarray(weights.values if hasattr(weights, "values") else weights, float)
     mask = q_full > 0
     if not mask.any():

@@ -18,6 +18,7 @@ required; the sweep record is optional.  Unknown record types and unknown
 keys are rejected with their line number.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 from importlib import resources
@@ -86,6 +87,16 @@ def _float(lineno, key, v):
         return float(v)
     except ValueError:
         _fail(lineno, f"bad number for {key}: {v!r}")
+
+
+def _positive_int(lineno, key, v):
+    try:
+        n = int(v)
+    except ValueError:
+        _fail(lineno, f"bad integer for {key}: {v!r}")
+    if n < 1:
+        _fail(lineno, f"{key} must be >= 1, got {n}")
+    return n
 
 
 def _parse_seeds(lineno, v):
@@ -174,12 +185,16 @@ def parse_scenario_text(text, label="") -> ScenarioFile:
                     engines.append(EngineSpec.from_string(e))
                 except ValidationError as exc:
                     _fail(lineno, f"{exc} at run.engine")
+            horizon = _float(lineno, "horizon", kv["horizon"])
+            if not (0.0 < horizon < math.inf):
+                _fail(lineno, f"horizon must be finite and > 0, got {kv['horizon']!r}")
             run = RunBlock(
                 tuple(engines),
-                _float(lineno, "horizon", kv["horizon"]),
+                horizon,
                 _float(lineno, "warmup", kv["warmup"]) if "warmup" in kv else 0.1,
                 _parse_seeds(lineno, kv["seeds"]) if "seeds" in kv else (0,),
-                int(kv["max_departures"]) if "max_departures" in kv else None)
+                _positive_int(lineno, "max_departures", kv["max_departures"])
+                if "max_departures" in kv else None)
         elif record == "sweep":
             if sweep is not None:
                 _fail(lineno, "duplicate sweep record")

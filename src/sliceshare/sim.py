@@ -70,8 +70,8 @@ class Scenario:
     label: str = ""
 
     def __post_init__(self):
-        if not (self.horizon > 0):
-            raise ValidationError("horizon must be > 0")
+        if not (0 < self.horizon < math.inf):
+            raise ValidationError("horizon must be finite and > 0")
         if not (0 <= self.warmup < 1):
             raise ValidationError("warmup fraction must be in [0, 1)")
 

@@ -185,8 +185,9 @@ def test_10_stability_verdicts_on_multiresource_topology(capsys):
     over = validate_instance(replace(
         inst, classes=tuple(replace(c, arrival_rate=c.arrival_rate * 1.25)
                             for c in inst.classes)))
-    # the dual-iteration engine costs ~30 ms per event, so it gets a
-    # shorter horizon; growth under overload shows up within 1000
+    # the dual engine costs ~0.6 ms per event (about ten times a
+    # water-fill event), so it gets a shorter horizon; growth under
+    # overload shows up within 1000
     horizons = {"maxmin-scs": 20000.0, "drf": 20000.0, "dps": 20000.0,
                 "scs(1)": 4000.0}
     bad = []

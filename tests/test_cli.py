@@ -236,3 +236,31 @@ def test_solver_failure_exits_2(tmp_path, monkeypatch, capsys):
     scen = write(tmp_path, MINIMAL)
     assert main(["run", scen, "-o", str(tmp_path / "x.csv")]) == 2
     assert "solver failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new,needle", [
+    ("horizon=60", "horizon=inf", "horizon must be finite"),
+    ("horizon=60", "horizon=nan", "horizon must be finite"),
+    ("seeds=0..2", "seeds=0..2 max_departures=abc", "bad integer for max_departures"),
+    ("seeds=0..2", "seeds=0..2 max_departures=0", "max_departures must be >= 1"),
+])
+def test_bad_run_record_exits_1_with_line(tmp_path, capsys, old, new, needle):
+    scen = write(tmp_path, MINIMAL.replace(old, new))
+    assert main(["run", scen, "-o", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "line 7:" in err
+    assert needle in err
+
+
+def test_sweep_solver_failure_names_value_engine_seed(tmp_path, monkeypatch,
+                                                      capsys):
+    import sliceshare.sim as sim_mod
+
+    def boom(*a, **k):
+        raise SolverError("no convergence", iterations=4)
+    monkeypatch.setattr(sim_mod, "solve_alpha_scs", boom)
+    scen = write(tmp_path, SWEPT.replace("engines=dps", "engines=scs(1)"))
+    assert main(["sweep", scen, "-o", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "sweep value 0.3, engine scs(1), seed 1:" in err
+    assert "no convergence" in err

@@ -3,13 +3,14 @@ import pytest
 
 from sliceshare.model import (PopulationState, scwa_weights, ValidationError,
                               feasibility_report)
-from sliceshare.engines import (SolverOptions, SolverError, solve_alpha_scs,
-                                class_alpha_fair, maxmin_waterfill,
-                                static_partition, drf_weights, dps_weights,
-                                drf_unconstrained_weights)
+from sliceshare.engines import (DEFAULT_OPTIONS, SolverOptions, SolverError,
+                                solve_alpha_scs, class_alpha_fair,
+                                maxmin_waterfill, static_partition, drf_weights,
+                                dps_weights, drf_unconstrained_weights)
 from sliceshare.analysis import utility
 from sliceshare.oracle import oracle_concave_opt, oracle_maxmin
 from sliceshare.gen import random_instance, random_scwa_weights
+from sliceshare.scenario import load_builtin
 from conftest import make_instance
 
 Q3 = (0.25, 0.25, 0.5)
@@ -55,6 +56,44 @@ def test_nonconvergence_raises_with_residuals(three_user):
         solve_alpha_scs(three_user, Q3, 2.0, opts=opts)
     assert err.value.residuals.worst() > 1e-14
     assert err.value.iterations == 3
+
+
+def test_failed_line_search_reports_real_iteration_count():
+    # tol=0 lies below round-off: the line search runs out of room long
+    # before the budget, and the error reports the iterations actually run
+    rng = np.random.default_rng(11)
+    inst = random_instance(rng)
+    q = random_scwa_weights(rng, inst)
+    opts = SolverOptions(tol=0.0, max_iters=1000)
+    with pytest.raises(SolverError) as err:
+        solve_alpha_scs(inst, q, 0.5, opts=opts)
+    n = err.value.iterations
+    assert 1 <= n < opts.max_iters
+    assert f"after {n} of {opts.max_iters} iterations" in str(err.value)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 50.0])
+def test_cold_fig7_population_with_fewer_classes_than_resources(alpha):
+    # four live classes on ten resources: the dual Hessian is singular
+    inst = load_builtin("fig7_multiresource").instance
+    q = scwa_weights(inst, PopulationState((1, 2, 1, 0, 0, 1)))
+    res = solve_alpha_scs(inst, q, alpha)
+    assert res.residuals.worst() <= DEFAULT_OPTIONS.tol
+    assert feasibility_report(inst, res.allocation).feasible
+    if alpha <= 2.0:
+        ref = oracle_concave_opt(inst, q, alpha).array()
+        assert np.abs(res.allocation.array() - ref).max() < 1e-6
+
+
+def test_acceptance_pool_iteration_tail():
+    rng = np.random.default_rng(11)
+    pool = []
+    for _ in range(200):
+        inst = random_instance(rng)
+        pool.append((inst, random_scwa_weights(rng, inst)))
+    for alpha in (0.5, 1.0, 2.0):
+        worst = max(solve_alpha_scs(inst, q, alpha).iterations for inst, q in pool)
+        assert worst <= 50, (alpha, worst)
 
 
 def test_warm_start_reproduces_solution(three_user):

@@ -35,6 +35,12 @@ def test_engine_spec_strings():
         EngineSpec.from_string("scs")
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, float("inf"), float("nan")])
+def test_scenario_needs_finite_positive_horizon(horizon):
+    with pytest.raises(ValidationError, match="horizon"):
+        Scenario(two_slice_line(), SCS1, horizon=horizon)
+
+
 def test_single_deterministic_user():
     inst = two_slice_line(rate=0.0)
     sc = Scenario(inst, SCS1, horizon=10.0, warmup=0.0)
