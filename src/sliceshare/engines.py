@@ -36,8 +36,18 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Stop once the worst KKT residual is <= tol (finite, > 0); raise
+    SolverError after max_iters (an integer >= 1).  A tol below round-off
+    is accepted but cannot be met, so such a solve may fail only at max_iters."""
     tol: float = 1e-8
     max_iters: int = 100_000
+
+    def __post_init__(self):
+        if not (self.tol > 0 and np.isfinite(self.tol)):
+            raise ValidationError(f"solver tol must be finite and > 0, not {self.tol!r}")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValidationError(
+                f"solver max_iters must be an integer >= 1, not {self.max_iters!r}")
 
 
 DEFAULT_OPTIONS = SolverOptions()

@@ -7,9 +7,14 @@ are exact, so there is no time-stepping error.  Traffic randomness is
 engine-independent: each class owns labeled substreams derived from the
 scenario seed, and engines never touch them, so runs that differ only in
 the engine share identical arrival/workload sample paths.
+
+Each event costs O(classes): `step` keeps `n_users == sum(counts)` and
+`n_busy` == the number of slices with a user.  Per-user rates are divided
+out per event, not cached with the allocations: most fig7 populations are
+visited once, so caching them costs memory and saves no measurable time.
 """
 
-import bisect
+import heapq
 import math
 from dataclasses import dataclass, replace
 
@@ -170,10 +175,13 @@ class Simulation:
         self.opts = opts
         n_cls = self.inst.n_classes
         self.t = 0.0
+        self.horizon = scenario.horizon
+        self.class_slice = [int(v) for v in self.inst.class_slice]
         self.counts = [0] * n_cls
         self.slice_counts = [0] * self.inst.n_slices
+        self.n_users = self.n_busy = 0
         self.offsets = [0.0] * n_cls
-        self.users = [[] for _ in range(n_cls)]   # sorted (key, uid, t_arr, work)
+        self.users = [[] for _ in range(n_cls)]   # heaps of (key, uid, t_arr, work)
         self.next_uid = 0
         self.events_done = 0
         self.keep_trace = keep_trace
@@ -186,7 +194,6 @@ class Simulation:
                 ((float(t), idx[cid], float(w)) for t, cid, w in arrival_schedule))
             self.sched_pos = 0
             self.arr_rng = self.work_rng = self.res_rng = None
-            self.next_arrival = [math.inf] * n_cls
         else:
             seed = scenario.seed
             self.arr_rng = [_class_rng(seed, c, 0) for c in range(n_cls)]
@@ -200,15 +207,16 @@ class Simulation:
         self._alloc_cache = {}
         self._alloc_list = []
         self._warm = None
-        self.rates, self.alloc_id = self._allocate()
+        self._allocate()
 
         # accumulators
         h = scenario.horizon
         self.window = (scenario.warmup * h, h)
+        self.quarter_bounds = [q * h / 4.0 for q in range(5)]
+        self.quarter = 0    # every earlier quarter ends by self.t
         self.pop_integral = 0.0
         self.busy_time = [0.0] * (self.inst.n_slices + 1)
         self.quarter_integrals = [0.0] * 4
-        self.arrivals_total = 0
         nv = self.inst.n_slices
         self.dep_count = [0] * nv
         self.delay_sum = [0.0] * nv
@@ -216,13 +224,14 @@ class Simulation:
         self.trace_events = []
 
     def _allocate(self):
+        """Set rates, alloc_id and the warm duals for counts."""
         key = tuple(self.counts)
         hit = self._alloc_cache.get(key)
         if hit is not None:
             # consecutive events differ by one user, so the duals of the
             # population just revisited are the best warm start available
-            self._warm = hit[2]
-            return hit[:2]
+            self.rates, self.alloc_id, self._warm = hit
+            return
         duals = self._warm
         if not any(self.counts):
             rates = (0.0,) * self.inst.n_classes
@@ -234,7 +243,7 @@ class Simulation:
                 if kind == "scs":
                     res = solve_alpha_scs(self.inst, scwa_weights(self.inst, pop),
                                           alpha, self.opts, warm_duals=self._warm)
-                    duals = self._warm = res.allocation.duals
+                    duals = res.allocation.duals
                     rates = res.allocation.rates
                 elif kind == "maxmin-scs":
                     rates = maxmin_waterfill(
@@ -262,88 +271,86 @@ class Simulation:
                     f"engine failed at event {self.events_done} "
                     f"(population {key}): {e}",
                     residuals=e.residuals, iterations=e.iterations) from e
-        alloc_id = len(self._alloc_list)
-        self._alloc_list.append(tuple(rates))
-        self._alloc_cache[key] = (tuple(rates), alloc_id, duals)
-        return self._alloc_cache[key][:2]
-
-    def _next_scheduled_arrival(self):
-        if self.schedule is not None and self.sched_pos < len(self.schedule):
-            return self.schedule[self.sched_pos][0]
-        return math.inf
+        rates = tuple(rates)
+        entry = self._alloc_cache[key] = (rates, len(self._alloc_list), duals)
+        self._alloc_list.append(rates)
+        self.rates, self.alloc_id, self._warm = entry
 
     def next_event(self):
         """Peek the earliest pending event without applying it.
 
         Returns (time, kind, class_idx, uid) with kind 'arrival' or
-        'departure'; departures win ties, lowest uid first.
+        'departure'; departures win ties, lowest uid first, then arrivals
+        in class order.
         """
-        best = (math.inf, 2, 0, -1)
-        for c in range(self.inst.n_classes):
-            if self.users[c] and self.rates[c] > 0:
-                key, uid, _, _ = self.users[c][0]
-                per_user = self.rates[c] / self.counts[c]
-                dt = (key - self.offsets[c]) / per_user
-                cand = (self.t + max(dt, 0.0), 0, uid, c)
-                if cand[:3] < best[:3]:
-                    best = (cand[0], 0, uid, c)
+        t, rates, counts, offsets = self.t, self.rates, self.counts, self.offsets
+        when, uid, dep_c = math.inf, -1, -1
+        for c, users in enumerate(self.users):
+            if users and rates[c] > 0:
+                key, u, _, _ = users[0]
+                dt = (key - offsets[c]) / (rates[c] / counts[c])
+                tc = t + (0.0 if dt < 0.0 else dt)
+                if tc < when or (tc == when and u < uid):
+                    when, uid, dep_c = tc, u, c
         if self.schedule is not None:
-            ts = self._next_scheduled_arrival()
-            if ts < math.inf:
-                c = self.schedule[self.sched_pos][1]
-                if (ts, 1, c) < best[:3]:
-                    best = (ts, 1, c, -1)
+            if self.sched_pos < len(self.schedule):
+                ts, c, _ = self.schedule[self.sched_pos]
+                if ts < when:
+                    return (ts, "arrival", c, -1)
         else:
-            for c in range(self.inst.n_classes):
-                ta = self.next_arrival[c]
-                if (ta, 1, c) < best[:3]:
-                    best = (ta, 1, c, -1)
-        time, prio, tie, extra = best
-        if time == math.inf:
+            arr_c = -1
+            for c, ta in enumerate(self.next_arrival):
+                if ta < when:
+                    when, arr_c = ta, c
+            if arr_c >= 0:
+                return (when, "arrival", arr_c, -1)
+        if when == math.inf:
             return None
-        if prio == 0:
-            return (time, "departure", extra, tie)
-        return (time, "arrival", tie, -1)
+        return (when, "departure", dep_c, uid)
 
     def _accumulate(self, t0, t1):
         if t1 <= t0:
             return
-        total = sum(self.counts)
-        busy = sum(1 for x in self.slice_counts if x > 0)
+        total = self.n_users
         w0, w1 = self.window
-        a, b = max(t0, w0), min(t1, w1)
+        a, b = (w0 if w0 > t0 else t0), (w1 if w1 < t1 else t1)
         if b > a:
             self.pop_integral += total * (b - a)
-            self.busy_time[busy] += b - a
-        h = self.scenario.horizon
-        for qisl in range(4):
-            qa, qb = qisl * h / 4.0, (qisl + 1) * h / 4.0
-            o0, o1 = max(t0, qa), min(t1, qb)
+            self.busy_time[self.n_busy] += b - a
+        # time only moves forward: quarters that end by t0 are done for good
+        bounds, q = self.quarter_bounds, self.quarter
+        while q < 3 and bounds[q + 1] <= t0:
+            q += 1
+        self.quarter = q
+        while q < 4 and bounds[q] < t1:
+            o0, o1 = max(t0, bounds[q]), min(t1, bounds[q + 1])
             if o1 > o0:
-                self.quarter_integrals[qisl] += total * (o1 - o0)
+                self.quarter_integrals[q] += total * (o1 - o0)
+            q += 1
 
     def _advance_offsets(self, dt):
         if dt <= 0:
             return
-        for c in range(self.inst.n_classes):
-            if self.counts[c] and self.rates[c] > 0:
-                self.offsets[c] += self.rates[c] / self.counts[c] * dt
+        offsets, rates = self.offsets, self.rates
+        for c, n in enumerate(self.counts):
+            if n and rates[c] > 0:
+                offsets[c] += rates[c] / n * dt
 
     def _resample_residuals(self):
         for c, cl in enumerate(self.inst.classes):
             if cl.workload != EXPONENTIAL or not self.users[c]:
                 continue
             fresh = []
-            for _, uid, t_arr, work in self.users[c]:
+            for _, uid, t_arr, work in sorted(self.users[c]):   # draw in key order
                 draw = self.res_rng[c].exponential(cl.mean_workload)
                 fresh.append((draw + self.offsets[c], uid, t_arr, work))
-            fresh.sort()
+            fresh.sort()    # a sorted list is a heap
             self.users[c] = fresh
 
     def step(self):
         """Apply the next event; False once the horizon is reached."""
         ev = self.next_event()
-        horizon = self.scenario.horizon
+        horizon = self.horizon
         if ev is None or ev[0] > horizon:
             self._accumulate(self.t, horizon)
             self.t = horizon
@@ -352,15 +359,17 @@ class Simulation:
         self._accumulate(self.t, te)
         self._advance_offsets(te - self.t)
         self.t = te
-        slice_idx = self.inst.class_slice[c]
+        slice_idx = self.class_slice[c]
+        counts, slice_counts = self.counts, self.slice_counts
 
         if kind == "departure":
-            key, uid, t_arr, work = self.users[c].pop(0)
-            self.offsets[c] = key
-            self.counts[c] -= 1
-            self.slice_counts[slice_idx] -= 1
-            if self.counts[c] == 0:
-                self.offsets[c] = 0.0
+            key, uid, t_arr, work = heapq.heappop(self.users[c])
+            counts[c] -= 1
+            self.offsets[c] = key if counts[c] else 0.0
+            self.n_users -= 1
+            slice_counts[slice_idx] -= 1
+            if not slice_counts[slice_idx]:
+                self.n_busy -= 1
             w0, w1 = self.window
             if w0 <= te <= w1:
                 sojourn = te - t_arr
@@ -381,14 +390,16 @@ class Simulation:
                     self.arr_rng[c].exponential(1.0 / cl.arrival_rate))
             uid = self.next_uid
             self.next_uid += 1
-            self.arrivals_total += 1
-            bisect.insort(self.users[c], (work + self.offsets[c], uid, te, work))
-            self.counts[c] += 1
-            self.slice_counts[slice_idx] += 1
+            heapq.heappush(self.users[c], (work + self.offsets[c], uid, te, work))
+            counts[c] += 1
+            self.n_users += 1
+            if not slice_counts[slice_idx]:
+                self.n_busy += 1
+            slice_counts[slice_idx] += 1
 
         if self.resample:
             self._resample_residuals()
-        self.rates, self.alloc_id = self._allocate()
+        self._allocate()
         self.events_done += 1
         if self.keep_trace:
             self.trace_events.append(TraceEvent(
@@ -400,7 +411,6 @@ class Simulation:
         cap = self.scenario.max_departures
         while self.step():
             if cap is not None and sum(self.dep_count) >= cap:
-                self._accumulate(self.t, self.t)
                 break
         return RunResult(self._metrics(), self._trace())
 
@@ -421,7 +431,7 @@ class Simulation:
         busy = tuple(x / span if span else 0.0 for x in self.busy_time)
         h = self.scenario.horizon
         quarters = tuple(4.0 * q / h for q in self.quarter_integrals)
-        return Metrics((w0, end), self.arrivals_total, total_dep, per_slice,
+        return Metrics((w0, end), self.next_uid, total_dep, per_slice,
                        mean_delay, mean_tput,
                        self.pop_integral / span if span else 0.0,
                        busy, quarters)

@@ -58,13 +58,21 @@ def test_nonconvergence_raises_with_residuals(three_user):
     assert err.value.iterations == 3
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"tol": 0.0}, {"tol": -1e-8}, {"tol": float("nan")}, {"tol": float("inf")},
+    {"max_iters": 0}, {"max_iters": -5}, {"max_iters": 2.5}, {"max_iters": 10.0}])
+def test_solver_options_reject_unreachable_settings(kwargs):
+    with pytest.raises(ValidationError, match=next(iter(kwargs))):
+        SolverOptions(**kwargs)
+
+
 def test_failed_line_search_reports_real_iteration_count():
-    # tol=0 lies below round-off: the line search runs out of room long
+    # tol=1e-300 lies below round-off: the line search runs out of room long
     # before the budget, and the error reports the iterations actually run
     rng = np.random.default_rng(11)
     inst = random_instance(rng)
     q = random_scwa_weights(rng, inst)
-    opts = SolverOptions(tol=0.0, max_iters=1000)
+    opts = SolverOptions(tol=1e-300, max_iters=1000)
     with pytest.raises(SolverError) as err:
         solve_alpha_scs(inst, q, 0.5, opts=opts)
     n = err.value.iterations

@@ -9,6 +9,7 @@ from sliceshare.engines import SolverOptions, SolverError
 from sliceshare.sim import (EngineSpec, Scenario, Simulation, run_simulation,
                             busy_fractions, stability_probe, replicate,
                             _class_rng)
+from sliceshare.scenario import load_builtin
 from conftest import make_instance
 
 SCS1 = EngineSpec.from_string("scs(1)")
@@ -126,6 +127,72 @@ def test_busy_fractions_hand_trace():
     assert again == pytest.approx(m.busy_fractions, abs=1e-12)
     with pytest.raises(ValidationError):
         busy_fractions(out.trace, (2.0, 2.0))
+
+
+def test_tie_order_departures_by_uid_then_arrivals_by_class():
+    # c2 (uid 0) runs alone on [0, 0.5] and keeps 0.5 of its work; c1
+    # (uid 1) brings 0.5 at t=0.5, so at rate 0.5 each both deplete at 1.5,
+    # exactly when one arrival per class is scheduled
+    inst = two_slice_line(rate=0.0)
+    sc = Scenario(inst, EngineSpec.from_string("maxmin-scs"), horizon=10.0,
+                  warmup=0.0)
+    out = run_simulation(sc, keep_trace=True, arrival_schedule=[
+        (0.0, "c2", 1.0), (0.5, "c1", 0.5), (1.5, "c2", 2.0), (1.5, "c1", 2.0)])
+    got = [(ev.time, ev.kind, ev.class_id) for ev in out.trace.events[2:6]]
+    assert got == [(1.5, "departure", "c2"), (1.5, "departure", "c1"),
+                   (1.5, "arrival", "c1"), (1.5, "arrival", "c2")]
+
+    # the same order for sampled arrivals, pinned to tie with a departure
+    sim = Simulation(Scenario(two_slice_line(), sc.engine, horizon=10.0, seed=1))
+    assert sim.step()
+    sim.next_arrival = [math.inf, math.inf]
+    dep = sim.next_event()
+    assert dep[1] == "departure"
+    sim.next_arrival = [dep[0], dep[0]]
+    assert sim.next_event() == dep
+    sim.next_arrival = [math.nextafter(dep[0], 0.0)] * 2
+    assert sim.next_event() == (sim.next_arrival[0], "arrival", 0, -1)
+
+
+def reference_accumulators(trace, window, horizon):
+    """mean_population and quarter_means from the trace's piecewise-constant
+    population, which runs from each event to the next and from the last
+    event to the window end."""
+    w0, w1 = window
+    times = [0.0] + [ev.time for ev in trace.events] + [w1]
+    totals = [0] + [sum(ev.counts) for ev in trace.events]
+    spans = [(w0, w1)] + [(q * horizon / 4, (q + 1) * horizon / 4) for q in range(4)]
+    integrals = [0.0] * len(spans)
+    for a, b, n in zip(times, times[1:], totals):
+        for i, (lo, hi) in enumerate(spans):
+            overlap = min(b, hi) - max(a, lo)
+            if overlap > 0:
+                integrals[i] += n * overlap
+    return integrals[0] / (w1 - w0), [4 * x / horizon for x in integrals[1:]]
+
+
+@pytest.mark.parametrize("engine", ["maxmin-scs", "drf", "dps",
+                                    "drf_unconstrained", "scs(1)"])
+@pytest.mark.parametrize("name,horizon,warmup,cap", [
+    ("fig2_symmetric", 301.7, 0.1, None),
+    ("fig2_symmetric", 250.0, 0.0, None),
+    ("fig2_symmetric", 1000.0, 0.05, 150),
+    ("fig7_multiresource", 20.3, 0.1, None),
+    ("fig7_multiresource", 60.0, 0.0, 40)])
+def test_accumulators_match_trace_recomputation(engine, name, horizon, warmup, cap):
+    sc = Scenario(load_builtin(name).instance, EngineSpec.from_string(engine),
+                  horizon, warmup, seed=3, max_departures=cap)
+    out = run_simulation(sc, keep_trace=True)
+    m = out.metrics
+    if cap is not None:
+        assert m.departures >= cap and m.window[1] < horizon
+    assert m.window[1] > m.window[0]
+    mean_pop, quarters = reference_accumulators(out.trace, m.window, horizon)
+    close = dict(rel=1e-12, abs=1e-12)
+    assert m.mean_population == pytest.approx(mean_pop, **close)
+    assert m.quarter_means == pytest.approx(quarters, **close)
+    assert m.busy_fractions == pytest.approx(busy_fractions(out.trace, m.window),
+                                             **close)
 
 
 def replay_conservation(inst, scenario, trace):
