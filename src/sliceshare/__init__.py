@@ -1,11 +1,12 @@
 """Share-constrained multi-resource allocation and elastic-traffic simulation.
 
 The model module defines instances (resources, slices, user classes),
-share-constrained weighting, and feasibility checks.  The engines module
-solves the weighted alpha-fair allocation problem and its limits, plus the
-dominant-share and discriminatory processor-sharing baselines.  The
-analysis module evaluates utilities, the efficiency/alignment
-factorization, and the protection, envy, and surrogate-gap bounds.  The
+the population weight rules (share-constrained, dominant-share and
+discriminatory processor sharing), and feasibility checks.  The engines
+module solves the weighted alpha-fair allocation problem, its max-min
+limit and the static partition.  The analysis module evaluates utilities,
+the efficiency/alignment factorization, and the protection, envy, and
+surrogate-gap bounds.  The
 sim module runs the discrete-event traffic simulation; scenario and cli
 wrap everything in a file format and command line.
 """
@@ -13,16 +14,16 @@ wrap everything in a file format and command line.
 from .model import (
     Resource, SliceSpec, UserClass, Instance, ValidationError,
     validate_instance, PopulationState, ClassWeights, scwa_weights,
-    slice_weight_sums, Allocation, FeasibilityReport, feasibility_report,
-    EQUAL_INTRA_SLICE, EQUAL_INTRA_CLASS, EXPONENTIAL, DETERMINISTIC,
+    drf_weights, dps_weights, drf_unconstrained_weights, Allocation,
+    FeasibilityReport, feasibility_report, EQUAL_INTRA_SLICE, EXPONENTIAL,
+    DETERMINISTIC,
 )
 from .engines import (
     SolverOptions, SolverError, Residuals, SolveResult, DEFAULT_OPTIONS,
-    solve_alpha_scs, class_alpha_fair, maxmin_waterfill, static_partition,
-    drf_weights, dps_weights, drf_unconstrained_weights,
+    solve_alpha_scs, maxmin_waterfill, static_partition,
 )
 from .analysis import (
-    alignment_index, f_alpha, UtilityReport, utility,
+    alignment_index, UtilityReport, utility,
     FactorizationReport, factorize, BoundReport,
     protection_report, envy_report, surrogate_report,
 )
@@ -32,7 +33,7 @@ from .oracle import (
 from .sim import (
     EngineSpec, Scenario, SliceStats, Metrics, TraceEvent, Trace, RunResult,
     Simulation, run_simulation, busy_fractions, stability_probe,
-    StabilityReport, Summary, replicate, ENGINE_KINDS,
+    StabilityReport, Summary, replicate, ENGINES,
 )
 from .scenario import (
     ScenarioParseError, RunBlock, SweepSpec, ScenarioFile,
@@ -44,14 +45,13 @@ __version__ = "0.1.0"
 __all__ = [
     "Resource", "SliceSpec", "UserClass", "Instance", "ValidationError",
     "validate_instance", "PopulationState", "ClassWeights", "scwa_weights",
-    "slice_weight_sums", "Allocation", "FeasibilityReport",
-    "feasibility_report", "EQUAL_INTRA_SLICE", "EQUAL_INTRA_CLASS",
+    "drf_weights", "dps_weights", "drf_unconstrained_weights", "Allocation",
+    "FeasibilityReport", "feasibility_report", "EQUAL_INTRA_SLICE",
     "EXPONENTIAL", "DETERMINISTIC",
     "SolverOptions", "SolverError", "Residuals", "SolveResult",
-    "DEFAULT_OPTIONS", "solve_alpha_scs", "class_alpha_fair",
-    "maxmin_waterfill", "static_partition", "drf_weights", "dps_weights",
-    "drf_unconstrained_weights",
-    "alignment_index", "f_alpha", "UtilityReport", "utility",
+    "DEFAULT_OPTIONS", "solve_alpha_scs", "maxmin_waterfill",
+    "static_partition",
+    "alignment_index", "UtilityReport", "utility",
     "FactorizationReport", "factorize", "BoundReport", "protection_report",
     "envy_report", "surrogate_report",
     "oracle_concave_opt", "oracle_maxmin", "VariationalReport",
@@ -59,7 +59,7 @@ __all__ = [
     "EngineSpec", "Scenario", "SliceStats", "Metrics", "TraceEvent", "Trace",
     "RunResult", "Simulation", "run_simulation", "busy_fractions",
     "stability_probe", "StabilityReport", "Summary", "replicate",
-    "ENGINE_KINDS",
+    "ENGINES",
     "ScenarioParseError", "RunBlock", "SweepSpec", "ScenarioFile",
     "parse_scenario_text", "apply_sweep", "builtin_names", "load_builtin",
     "__version__",

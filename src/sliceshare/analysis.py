@@ -36,9 +36,6 @@ def alignment_index(x, y, alpha) -> float:
     return float(np.sum(x * (y / x) ** (1.0 - alpha)) ** (1.0 / alpha))
 
 
-f_alpha = alignment_index
-
-
 def _utility_terms(rates, q, alpha):
     """Per-class utility contributions; -inf where a weighted class starves."""
     terms = np.zeros(len(q))

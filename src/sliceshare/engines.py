@@ -11,9 +11,8 @@ phi_c = q_c * price_c^(-1/alpha) with price_c = sum_r d_c^r nu_r, and a
 projected Newton method (Bertsekas 1982) drives the prices until
 feasibility and complementary slackness hold.  maxmin_waterfill computes
 the weighted max-min allocation exactly by progressive filling.
-class_alpha_fair swaps the per-user weighting for a class-level alpha-fair
-objective.  static_partition solves each slice alone on a share-scaled copy
-of the resources.
+static_partition solves each slice alone on a share-scaled copy of the
+resources.  The weights come from the rules in the model module.
 """
 
 from dataclasses import dataclass
@@ -57,16 +56,15 @@ DEFAULT_OPTIONS = SolverOptions()
 class Residuals:
     """feasibility: worst capacity overshoot.  complementary_slackness:
     worst |1 - usage| over resources whose dual still carries weight in
-    some class price.  stationarity holds exactly for price-driven rates."""
+    some class price.  Stationarity holds exactly for price-driven rates,
+    so it has no residual."""
 
     feasibility: float
     complementary_slackness: float | None = None
-    stationarity: float | None = None
 
     def worst(self) -> float:
-        vals = [v for v in (self.feasibility, self.complementary_slackness,
-                            self.stationarity) if v is not None]
-        return max(vals)
+        return max(v for v in (self.feasibility, self.complementary_slackness)
+                   if v is not None)
 
 
 @dataclass(frozen=True)
@@ -184,7 +182,7 @@ def _solve_with_caps(instance, q_full, alpha, caps, opts, warm_duals=None):
     duals = np.zeros(n_res)
     if not active.any():
         return SolveResult(Allocation(tuple(rates), tuple(duals)), 0,
-                           Residuals(0.0, 0.0, 0.0))
+                           Residuals(0.0, 0.0))
     # resources no live class uses keep a zero dual and stay out of the
     # iteration, where their Hessian diagonal would be zero
     cols = open_res & (D[active] > 0).any(axis=0)
@@ -197,7 +195,7 @@ def _solve_with_caps(instance, q_full, alpha, caps, opts, warm_duals=None):
         raise SolverError(
             f"price iteration did not reach tol={opts.tol} "
             f"(stopped after {iters} of {opts.max_iters} iterations)",
-            residuals=Residuals(feas, cs, 0.0), iterations=iters)
+            residuals=Residuals(feas, cs), iterations=iters)
     rates[active] = r
     # converged iterates may overshoot capacity by O(tol); rescale so the
     # returned rates are feasible outright
@@ -208,7 +206,7 @@ def _solve_with_caps(instance, q_full, alpha, caps, opts, warm_duals=None):
         feas = 0.0
     duals[cols] = nu / caps[cols]
     return SolveResult(Allocation(tuple(rates), tuple(duals)), iters,
-                       Residuals(feas, cs, 0.0))
+                       Residuals(feas, cs))
 
 
 def solve_alpha_scs(instance, weights, alpha, opts=DEFAULT_OPTIONS,
@@ -223,38 +221,17 @@ def solve_alpha_scs(instance, weights, alpha, opts=DEFAULT_OPTIONS,
                             opts, warm_duals)
 
 
-def class_alpha_fair(instance, weights, alpha, opts=DEFAULT_OPTIONS,
-                     warm_duals=None) -> SolveResult:
-    """Class-level alpha-fair allocation: maximize sum_c q_c phi_c^(1-alpha)/(1-alpha).
-
-    Stationarity gives phi_c = (q_c)^(1/alpha) * price_c^(-1/alpha), so this
-    reuses the price iteration with transformed weights.  As alpha grows the
-    weights wash out and the solution tends to the unweighted max-min rates.
-    """
-    if not (alpha > 0) or not np.isfinite(alpha):
-        raise ValidationError("alpha must be finite and > 0")
-    q = _weight_array(weights)
-    if not (q > 0).any():
-        raise ValidationError("all-zero weights")
-    g = q.copy()
-    if abs(alpha - 1.0) >= ALPHA_ONE_THRESHOLD:
-        g[q > 0] = q[q > 0] ** (1.0 / alpha)
-    return _solve_with_caps(instance, g, alpha, np.ones(instance.n_resources), opts)
-
-
 def maxmin_waterfill(instance, weights) -> SolveResult:
     """Exact weighted max-min allocation by progressive filling.
 
     Raises the common level t (phi_c = q_c * t) until a resource saturates,
     freezes every class using a newly saturated resource, and repeats with
-    the survivors.  Ties freeze together; each frozen class records the
-    lexicographically smallest resource that saturated on it.
+    the survivors.  Ties freeze together.
     """
     q = _weight_array(weights)
     D = instance.demand_matrix
     n_cls, n_res = D.shape
     rates = np.zeros(n_cls)
-    bottlenecks: dict[str, str] = {}
     active = q > 0
     frozen_usage = np.zeros(n_res)
     rounds = 0
@@ -269,14 +246,10 @@ def maxmin_waterfill(instance, weights) -> SolveResult:
         froze = active & (D[:, saturated] > 0).any(axis=1)
         assert froze.any(), "a saturated resource must freeze at least one class"
         rates[froze] = q[froze] * t
-        for i in np.flatnonzero(froze):
-            mine = [instance.resource_ids[r] for r in np.flatnonzero(saturated)
-                    if D[i, r] > 0]
-            bottlenecks[instance.class_ids[i]] = min(mine)
         frozen_usage = frozen_usage + rates[froze] @ D[froze]
         active = active & ~froze
     feas = max(float((frozen_usage - 1.0).max()), 0.0) if n_res else 0.0
-    return SolveResult(Allocation(tuple(rates), None, bottlenecks), rounds,
+    return SolveResult(Allocation(tuple(rates)), rounds,
                        Residuals(feasibility=feas))
 
 
@@ -298,69 +271,9 @@ def static_partition(instance, weights, alpha, opts=DEFAULT_OPTIONS) -> dict[str
         if not (qv > 0).any():
             results[s.id] = SolveResult(
                 Allocation(tuple(np.zeros_like(q)), tuple(np.zeros(instance.n_resources))),
-                0, Residuals(0.0, 0.0, 0.0))
+                0, Residuals(0.0, 0.0))
             continue
         caps = np.full(instance.n_resources, s.share)
         results[s.id] = _solve_with_caps(instance, qv, alpha, caps, opts)
     return results
 
-
-def _share_and_count(instance, pop):
-    pop.check(instance)
-    slice_totals = pop.slice_counts(instance)
-    return slice_totals
-
-
-def drf_weights(instance, pop) -> ClassWeights:
-    """Dominant-resource-fairness weights with equal intra-slice split.
-
-    Each present user of class c carries weight (share_v / n_v) * delta_c,
-    where delta_c = 1 / max_r d_c^r is the reciprocal dominant demand, so
-    q_c = share_v * n_c * delta_c / n_v.  Not share-constrained in general.
-    """
-    slice_totals = _share_and_count(instance, pop)
-    D = instance.demand_matrix
-    values = []
-    for i, c in enumerate(instance.classes):
-        v = instance.class_slice[i]
-        nv = slice_totals[v]
-        if pop.counts[i] == 0 or nv == 0:
-            values.append(0.0)
-            continue
-        delta = 1.0 / D[i].max()
-        values.append(instance.slices[v].share * pop.counts[i] * delta / nv)
-    return ClassWeights(tuple(values), "drf")
-
-
-def dps_weights(instance, pop) -> ClassWeights:
-    """Discriminatory processor sharing weights: every user weighs share_v.
-
-    q_c = n_c * share_v; weights scale with the population instead of being
-    normalized to the share, so a busy slice can crowd out a small one.
-    """
-    slice_totals = _share_and_count(instance, pop)
-    del slice_totals
-    values = []
-    for i, c in enumerate(instance.classes):
-        v = instance.class_slice[i]
-        values.append(instance.slices[v].share * pop.counts[i])
-    return ClassWeights(tuple(values), "dps")
-
-
-def drf_unconstrained_weights(instance, pop) -> ClassWeights:
-    """DRF-flavored DPS weights: every user of class c weighs share_v * delta_c.
-
-    Like dps_weights but discounted by the reciprocal dominant demand, with
-    no per-slice normalization (q_c = n_c * share_v * delta_c).
-    """
-    _share_and_count(instance, pop)
-    D = instance.demand_matrix
-    values = []
-    for i, c in enumerate(instance.classes):
-        v = instance.class_slice[i]
-        if pop.counts[i] == 0:
-            values.append(0.0)
-            continue
-        delta = 1.0 / D[i].max()
-        values.append(instance.slices[v].share * pop.counts[i] * delta)
-    return ClassWeights(tuple(values), "drf-unconstrained")

@@ -24,7 +24,6 @@ DETERMINISTIC = "deterministic"
 WORKLOAD_KINDS = (EXPONENTIAL, DETERMINISTIC)
 
 EQUAL_INTRA_SLICE = "equal-intra-slice"
-EQUAL_INTRA_CLASS = "equal-intra-class"
 
 
 class ValidationError(ValueError):
@@ -256,55 +255,56 @@ class ClassWeights:
         return np.array(self.values, dtype=float)
 
 
-def scwa_weights(instance, pop, policy=EQUAL_INTRA_SLICE, class_weights=None) -> ClassWeights:
-    """Share-constrained weights for the given population.
+def _population_weights(instance, pop, policy, dominant, per_slice) -> ClassWeights:
+    """The weight rule every population-driven engine shares.
 
-    equal-intra-slice splits each slice's share equally over its present
-    users, so q_c = share_v * n_c / n_v.  equal-intra-class takes exogenous
-    per-class weights (class_weights, aligned with instance.classes) and
-    checks that each active slice's weights sum to its share.  Idle slices
-    get all-zero weights; the idle share is not redistributed.
+    Each present user of class c in slice v weighs share_v, so
+    q_c = share_v * n_c; dominant scales that by the reciprocal dominant
+    demand 1 / max_r d_c^r, and per_slice divides it by the slice
+    population n_v, which makes each busy slice's weights sum to its
+    share.  A class with no users weighs 0; an idle slice's share is not
+    redistributed.
     """
     pop.check(instance)
     n = pop.counts
-    if policy == EQUAL_INTRA_SLICE:
-        slice_totals = pop.slice_counts(instance)
-        values = []
-        for i, c in enumerate(instance.classes):
-            v = instance.class_slice[i]
-            nv = slice_totals[v]
-            values.append(instance.slices[v].share * n[i] / nv if nv > 0 else 0.0)
-        return ClassWeights(tuple(values), EQUAL_INTRA_SLICE)
-    if policy == EQUAL_INTRA_CLASS:
-        if class_weights is None:
-            raise ValidationError("equal-intra-class weights need explicit class_weights")
-        if len(class_weights) != instance.n_classes:
-            raise ValidationError("class_weights length does not match instance classes")
-        for i, q in enumerate(class_weights):
-            if q < 0 or not np.isfinite(q):
-                raise ValidationError("class_weights must be finite and >= 0")
-            if n[i] == 0 and q > WEIGHT_TOL:
-                raise ValidationError(
-                    f"class {instance.class_ids[i]!r} has weight but no users"
-                )
-        slice_totals = pop.slice_counts(instance)
-        for v, s in enumerate(instance.slices):
-            total = sum(class_weights[i] for i in instance.slice_classes[v])
-            if slice_totals[v] > 0 and abs(total - s.share) > 1e-9:
-                raise ValidationError(
-                    f"slice {s.id!r} weights sum to {total:.12g}, expected share {s.share:.12g}"
-                )
-        values = tuple(0.0 if n[i] == 0 else float(class_weights[i]) for i in range(len(n)))
-        return ClassWeights(values, EQUAL_INTRA_CLASS)
-    raise ValidationError(f"unknown weight policy {policy!r}")
+    slice_totals = pop.slice_counts(instance) if per_slice else None
+    values = []
+    for i, c in enumerate(instance.classes):
+        if n[i] == 0:
+            values.append(0.0)
+            continue
+        v = instance.class_slice[i]
+        q = instance.slices[v].share * n[i]
+        if dominant:
+            q *= 1.0 / max(c.demand.values())
+        if per_slice:
+            q /= slice_totals[v]
+        values.append(q)
+    return ClassWeights(tuple(values), policy)
 
 
-def slice_weight_sums(instance, weights) -> dict[str, float]:
-    vals = weights.values if isinstance(weights, ClassWeights) else tuple(weights)
-    sums = {sid: 0.0 for sid in instance.slice_ids}
-    for i, q in enumerate(vals):
-        sums[instance.slices[instance.class_slice[i]].id] += q
-    return sums
+def scwa_weights(instance, pop) -> ClassWeights:
+    """Share-constrained weights: each slice's share split equally over its
+    present users, q_c = share_v * n_c / n_v."""
+    return _population_weights(instance, pop, EQUAL_INTRA_SLICE, False, True)
+
+
+def drf_weights(instance, pop) -> ClassWeights:
+    """Dominant-resource-fairness weights, q_c = share_v * n_c * delta_c / n_v
+    with delta_c = 1 / max_r d_c^r.  Not share-constrained in general."""
+    return _population_weights(instance, pop, "drf", True, True)
+
+
+def dps_weights(instance, pop) -> ClassWeights:
+    """Discriminatory processor sharing, q_c = share_v * n_c: weights grow
+    with the population, so a busy slice can crowd out a small one."""
+    return _population_weights(instance, pop, "dps", False, False)
+
+
+def drf_unconstrained_weights(instance, pop) -> ClassWeights:
+    """DPS weights discounted by the reciprocal dominant demand,
+    q_c = share_v * n_c * delta_c, with no per-slice normalization."""
+    return _population_weights(instance, pop, "drf-unconstrained", True, False)
 
 
 @dataclass(frozen=True)
@@ -313,7 +313,6 @@ class Allocation:
 
     rates: tuple[float, ...]
     duals: tuple[float, ...] | None = None
-    bottlenecks: dict[str, str] | None = None
 
     def array(self) -> np.ndarray:
         return np.array(self.rates, dtype=float)

@@ -12,8 +12,9 @@ Grammar (one record per line; blank lines and '#' comments ignored):
     sweep key=share:<slice_id>|arrival_rate:*|arrival_rate:<class_id>
           values=<float>[,<float>...]
 
-Engines are written as 'maxmin-scs', 'dps', 'drf', 'drf_unconstrained',
-'scs(<alpha>)' or 'static-partition(<alpha>)'.  Exactly one run record is
+Engines are the kinds of sliceshare.sim.ENGINES: 'maxmin-scs', 'dps', 'drf',
+'drf_unconstrained', 'scs(<alpha>)' or 'static-partition(<alpha>)', with a
+finite alpha > 0.  Seeds are integers >= 0.  Exactly one run record is
 required; the sweep record is optional.  Unknown record types and unknown
 keys are rejected with their line number.
 """
@@ -108,11 +109,15 @@ def _parse_seeds(lineno, v):
             _fail(lineno, f"bad seed range {v!r}")
         if hi < lo:
             _fail(lineno, f"empty seed range {v!r}")
-        return tuple(range(lo, hi + 1))
-    try:
-        return tuple(int(x) for x in v.split(","))
-    except ValueError:
-        _fail(lineno, f"bad seed list {v!r}")
+        seeds = tuple(range(lo, hi + 1))
+    else:
+        try:
+            seeds = tuple(int(x) for x in v.split(","))
+        except ValueError:
+            _fail(lineno, f"bad seed list {v!r}")
+    if min(seeds) < 0:
+        _fail(lineno, f"seeds must be >= 0, got {v!r}")
+    return seeds
 
 
 def parse_scenario_text(text, label="") -> ScenarioFile:

@@ -21,14 +21,23 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (PopulationState, ValidationError, scwa_weights,
+                    drf_weights, dps_weights, drf_unconstrained_weights,
                     EXPONENTIAL, DETERMINISTIC)
 from .engines import (DEFAULT_OPTIONS, SolverError, solve_alpha_scs,
-                      maxmin_waterfill, static_partition, drf_weights,
-                      dps_weights, drf_unconstrained_weights)
+                      maxmin_waterfill, static_partition)
 
-ENGINE_KINDS = ("scs", "maxmin-scs", "drf", "dps", "drf_unconstrained",
-                "static-partition")
-_ALPHA_KINDS = ("scs", "static-partition")
+# engine kind -> (weight rule, solver).  The alpha-fair solvers take an
+# alpha; the water-fill takes none.  Both are names of this module's
+# globals, looked up when a population is solved, so that a function
+# replaced on this module (by a test or a tracer) is the one called.
+ENGINES = {
+    "scs": ("scwa_weights", "solve_alpha_scs"),
+    "maxmin-scs": ("scwa_weights", "maxmin_waterfill"),
+    "drf": ("drf_weights", "maxmin_waterfill"),
+    "dps": ("dps_weights", "maxmin_waterfill"),
+    "drf_unconstrained": ("drf_unconstrained_weights", "maxmin_waterfill"),
+    "static-partition": ("scwa_weights", "static_partition"),
+}
 
 
 @dataclass(frozen=True)
@@ -37,13 +46,13 @@ class EngineSpec:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ENGINE_KINDS:
+        if self.kind not in ENGINES:
             raise ValidationError(f"unknown engine {self.kind!r}")
-        if self.kind in _ALPHA_KINDS:
-            if self.alpha is None or not (self.alpha > 0):
-                raise ValidationError(f"engine {self.kind} needs alpha > 0")
-        elif self.alpha is not None:
-            raise ValidationError(f"engine {self.kind} takes no alpha")
+        if ENGINES[self.kind][1] == "maxmin_waterfill":
+            if self.alpha is not None:
+                raise ValidationError(f"engine {self.kind} takes no alpha")
+        elif self.alpha is None or not (0 < self.alpha < math.inf):
+            raise ValidationError(f"engine {self.kind} needs a finite alpha > 0")
 
     @classmethod
     def from_string(cls, text):
@@ -52,9 +61,10 @@ class EngineSpec:
         if text.endswith(")") and "(" in text:
             kind, arg = text[:-1].split("(", 1)
             try:
-                return cls(kind.strip(), float(arg))
+                alpha = float(arg)
             except ValueError as e:
                 raise ValidationError(f"bad engine alpha {arg!r}") from e
+            return cls(kind.strip(), alpha)
         return cls(text)
 
     @property
@@ -189,6 +199,9 @@ class Simulation:
 
         self.schedule = None
         if arrival_schedule is not None:
+            if resample_exponential:
+                raise ValidationError("an arrival schedule fixes every "
+                                      "workload; it cannot be resampled")
             idx = self.inst.class_index
             self.schedule = sorted(
                 ((float(t), idx[cid], float(w)) for t, cid, w in arrival_schedule))
@@ -204,8 +217,7 @@ class Simulation:
                 if cl.arrival_rate > 0 else math.inf
                 for c, cl in enumerate(self.inst.classes)]
 
-        self._alloc_cache = {}
-        self._alloc_list = []
+        self._alloc_cache = {}     # counts -> (rates, alloc_id, duals)
         self._warm = None
         self._allocate()
 
@@ -236,34 +248,21 @@ class Simulation:
         if not any(self.counts):
             rates = (0.0,) * self.inst.n_classes
         else:
-            pop = PopulationState(key)
-            kind = self.scenario.engine.kind
-            alpha = self.scenario.engine.alpha
+            engine = self.scenario.engine
+            rule, solver = ENGINES[engine.kind]
+            q = globals()[rule](self.inst, PopulationState(key))
+            solve = globals()[solver]
             try:
-                if kind == "scs":
-                    res = solve_alpha_scs(self.inst, scwa_weights(self.inst, pop),
-                                          alpha, self.opts, warm_duals=self._warm)
+                if solver == "maxmin_waterfill":
+                    rates = solve(self.inst, q).allocation.rates
+                elif solver == "solve_alpha_scs":
+                    res = solve(self.inst, q, engine.alpha, self.opts,
+                                warm_duals=self._warm)
                     duals = res.allocation.duals
                     rates = res.allocation.rates
-                elif kind == "maxmin-scs":
-                    rates = maxmin_waterfill(
-                        self.inst, scwa_weights(self.inst, pop)).allocation.rates
-                elif kind == "drf":
-                    rates = maxmin_waterfill(
-                        self.inst, drf_weights(self.inst, pop)).allocation.rates
-                elif kind == "dps":
-                    rates = maxmin_waterfill(
-                        self.inst, dps_weights(self.inst, pop)).allocation.rates
-                elif kind == "drf_unconstrained":
-                    rates = maxmin_waterfill(
-                        self.inst,
-                        drf_unconstrained_weights(self.inst, pop)).allocation.rates
-                else:   # static-partition
-                    parts = static_partition(self.inst,
-                                             scwa_weights(self.inst, pop),
-                                             alpha, self.opts)
+                else:   # static_partition: one result per slice
                     total = np.zeros(self.inst.n_classes)
-                    for r in parts.values():
+                    for r in solve(self.inst, q, engine.alpha, self.opts).values():
                         total += r.allocation.array()
                     rates = tuple(float(x) for x in total)
             except SolverError as e:
@@ -272,8 +271,8 @@ class Simulation:
                     f"(population {key}): {e}",
                     residuals=e.residuals, iterations=e.iterations) from e
         rates = tuple(rates)
-        entry = self._alloc_cache[key] = (rates, len(self._alloc_list), duals)
-        self._alloc_list.append(rates)
+        # alloc_id is the insertion index; _trace relies on the cache's order
+        entry = self._alloc_cache[key] = (rates, len(self._alloc_cache), duals)
         self.rates, self.alloc_id, self._warm = entry
 
     def next_event(self):
@@ -439,7 +438,8 @@ class Simulation:
     def _trace(self):
         if not self.keep_trace:
             return None
-        return Trace(tuple(self.trace_events), tuple(self._alloc_list),
+        return Trace(tuple(self.trace_events),
+                     tuple(rates for rates, _, _ in self._alloc_cache.values()),
                      tuple(int(v) for v in self.inst.class_slice),
                      self.inst.n_slices)
 

@@ -243,6 +243,11 @@ def test_solver_failure_exits_2(tmp_path, monkeypatch, capsys):
     ("horizon=60", "horizon=nan", "horizon must be finite"),
     ("seeds=0..2", "seeds=0..2 max_departures=abc", "bad integer for max_departures"),
     ("seeds=0..2", "seeds=0..2 max_departures=0", "max_departures must be >= 1"),
+    ("engines=dps,maxmin-scs", "engines=scs(inf)", "needs a finite alpha > 0"),
+    ("engines=dps,maxmin-scs", "engines=static-partition(inf)",
+     "needs a finite alpha > 0"),
+    ("seeds=0..2", "seeds=-3..-1", "seeds must be >= 0"),
+    ("seeds=0..2", "seeds=4,-1", "seeds must be >= 0"),
 ])
 def test_bad_run_record_exits_1_with_line(tmp_path, capsys, old, new, needle):
     scen = write(tmp_path, MINIMAL.replace(old, new))

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from sliceshare.model import (PopulationState, scwa_weights, ValidationError,
-                              feasibility_report)
+                              feasibility_report, drf_weights, dps_weights,
+                              drf_unconstrained_weights)
 from sliceshare.engines import (DEFAULT_OPTIONS, SolverOptions, SolverError,
-                                solve_alpha_scs, class_alpha_fair,
-                                maxmin_waterfill, static_partition, drf_weights,
-                                dps_weights, drf_unconstrained_weights)
+                                solve_alpha_scs, maxmin_waterfill,
+                                static_partition)
 from sliceshare.analysis import utility
 from sliceshare.oracle import oracle_concave_opt, oracle_maxmin
 from sliceshare.gen import random_instance, random_scwa_weights
@@ -14,6 +14,25 @@ from sliceshare.scenario import load_builtin
 from conftest import make_instance
 
 Q3 = (0.25, 0.25, 0.5)
+
+
+def assert_maxmin_certificate(inst, q, phi):
+    """Every weighted class uses a saturated resource on which its level
+    phi_c / q_c is the largest among that resource's users; unweighted
+    classes get nothing.  Returns the usage of every resource."""
+    q = np.asarray(q, float)
+    phi = np.asarray(phi, float)
+    D = inst.demand_matrix
+    usage = phi @ D
+    levels = np.where(q > 0, phi / np.where(q > 0, q, 1.0), -np.inf)
+    for i in range(inst.n_classes):
+        if q[i] == 0:
+            assert phi[i] == 0.0
+            continue
+        assert any(abs(usage[r] - 1.0) <= 1e-9
+                   and levels[i] >= levels[D[:, r] > 0].max() - 1e-9
+                   for r in np.flatnonzero(D[i] > 0)), inst.class_ids[i]
+    return dict(zip(inst.resource_ids, usage))
 
 
 def test_pf_worked_example(three_user):
@@ -139,7 +158,8 @@ def test_waterfill_two_stage_fixture():
         [("c1", "s1", {"r1": 1.0}), ("c2", "s2", {"r1": 1.0, "r2": 4.0})])
     res = maxmin_waterfill(inst, (0.5, 0.5))
     assert res.allocation.rates == pytest.approx((0.75, 0.25), abs=1e-9)
-    assert res.allocation.bottlenecks == {"c1": "r1", "c2": "r2"}
+    usage = assert_maxmin_certificate(inst, (0.5, 0.5), res.allocation.rates)
+    assert usage == pytest.approx({"r1": 1.0, "r2": 1.0}, abs=1e-9)
 
 
 def test_waterfill_matches_oracle_and_high_alpha():
@@ -158,32 +178,12 @@ def test_waterfill_bottleneck_certificate():
     rng = np.random.default_rng(23)
     for _ in range(20):
         inst = random_instance(rng)
-        q = np.asarray(random_scwa_weights(rng, inst).values)
-        res = maxmin_waterfill(inst, q)
-        phi = res.allocation.array()
-        D = inst.demand_matrix
-        usage = phi @ D
-        levels = np.where(q > 0, phi / np.where(q > 0, q, 1.0), -np.inf)
-        for i, cid in enumerate(inst.class_ids):
-            if q[i] == 0:
-                assert phi[i] == 0.0
-                continue
-            r = inst.resource_index[res.allocation.bottlenecks[cid]]
-            assert D[i, r] > 0
-            assert usage[r] == pytest.approx(1.0, abs=1e-9)
-            others = D[:, r] > 0
-            assert levels[i] >= levels[others].max() - 1e-9
-
-
-def test_class_fair_alpha_one_matches_scs(three_user):
-    a = class_alpha_fair(three_user, Q3, 1.0).allocation.array()
-    b = solve_alpha_scs(three_user, Q3, 1.0).allocation.array()
-    assert np.abs(a - b).max() < 1e-7
+        q = random_scwa_weights(rng, inst).values
+        assert_maxmin_certificate(inst, q, maxmin_waterfill(inst, q).allocation.rates)
 
 
 def test_class_fair_weights_wash_out_at_high_alpha(single_resource):
-    fair = class_alpha_fair(single_resource, (0.3, 0.7), 50.0).allocation.array()
-    assert fair == pytest.approx((0.5, 0.5), abs=0.02)
+    # per-user share weights, unlike class-level ones, do not wash out
     scs = solve_alpha_scs(single_resource, (0.3, 0.7), 50.0).allocation.array()
     assert scs == pytest.approx((0.3, 0.7), abs=0.02)
 
@@ -197,8 +197,8 @@ def test_drf_weights_fixture():
     assert q.values == pytest.approx((0.25, 1/6))
     res = maxmin_waterfill(inst, q)
     assert res.allocation.rates == pytest.approx((1/3, 2/9), abs=1e-9)
-    assert res.allocation.bottlenecks["c1"] == "r2"
-    assert res.allocation.bottlenecks["c2"] == "r2"
+    usage = assert_maxmin_certificate(inst, q.values, res.allocation.rates)
+    assert usage["r2"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_drf_reduces_to_scwa_on_single_resource(single_resource):
@@ -275,7 +275,6 @@ def test_every_engine_output_is_feasible(three_user):
         solve_alpha_scs(three_user, Q3, 0.5),
         solve_alpha_scs(three_user, Q3, 1.0),
         solve_alpha_scs(three_user, Q3, 3.0),
-        class_alpha_fair(three_user, Q3, 2.0),
         maxmin_waterfill(three_user, drf_weights(three_user, pop)),
         maxmin_waterfill(three_user, dps_weights(three_user, pop)),
     ]

@@ -3,8 +3,8 @@ import pytest
 
 from sliceshare.model import (Resource, SliceSpec, UserClass, Instance,
                               ValidationError, validate_instance,
-                              PopulationState, scwa_weights, slice_weight_sums,
-                              feasibility_report, EQUAL_INTRA_CLASS)
+                              PopulationState, scwa_weights,
+                              feasibility_report)
 from conftest import make_instance
 
 
@@ -89,9 +89,8 @@ def test_scwa_weights_equal_intra_slice(three_user):
     pop = PopulationState((1, 1, 1))
     q = scwa_weights(three_user, pop)
     assert q.values == pytest.approx((0.25, 0.25, 0.5))
-    sums = slice_weight_sums(three_user, q)
-    assert sums["s1"] == pytest.approx(0.5)
-    assert sums["s2"] == pytest.approx(0.5)
+    sums = [sum(q.values[i] for i in idx) for idx in three_user.slice_classes]
+    assert sums == pytest.approx([0.5, 0.5])
     # weight scales with class population
     q2 = scwa_weights(three_user, PopulationState((3, 1, 1)))
     assert q2.values == pytest.approx((0.375, 0.125, 0.5))
@@ -100,19 +99,6 @@ def test_scwa_weights_equal_intra_slice(three_user):
 def test_scwa_weights_idle_slice_keeps_share(three_user):
     q = scwa_weights(three_user, PopulationState((1, 1, 0)))
     assert q.values == pytest.approx((0.25, 0.25, 0.0))
-
-
-def test_scwa_weights_equal_intra_class(three_user):
-    pop = PopulationState((1, 1, 1))
-    q = scwa_weights(three_user, pop, policy=EQUAL_INTRA_CLASS,
-                     class_weights=(0.1, 0.4, 0.5))
-    assert q.values == pytest.approx((0.1, 0.4, 0.5))
-    with pytest.raises(ValidationError, match="sum to"):
-        scwa_weights(three_user, pop, policy=EQUAL_INTRA_CLASS,
-                     class_weights=(0.3, 0.4, 0.5))
-    with pytest.raises(ValidationError, match="no users"):
-        scwa_weights(three_user, PopulationState((1, 1, 0)),
-                     policy=EQUAL_INTRA_CLASS, class_weights=(0.1, 0.4, 0.5))
 
 
 def test_feasibility_report_worked_example(three_user):

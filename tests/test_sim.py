@@ -6,9 +6,9 @@ from scipy import stats
 
 from sliceshare.model import ValidationError, feasibility_report
 from sliceshare.engines import SolverOptions, SolverError
-from sliceshare.sim import (EngineSpec, Scenario, Simulation, run_simulation,
-                            busy_fractions, stability_probe, replicate,
-                            _class_rng)
+from sliceshare.sim import (ENGINES, EngineSpec, Scenario, Simulation,
+                            run_simulation, busy_fractions, stability_probe,
+                            replicate, _class_rng)
 from sliceshare.scenario import load_builtin
 from conftest import make_instance
 
@@ -34,6 +34,9 @@ def test_engine_spec_strings():
         EngineSpec.from_string("dps(2)")
     with pytest.raises(ValidationError):
         EngineSpec.from_string("scs")
+    for bad in ("scs(inf)", "static-partition(inf)", "scs(nan)", "scs(0)"):
+        with pytest.raises(ValidationError, match="finite alpha"):
+            EngineSpec.from_string(bad)
 
 
 @pytest.mark.parametrize("horizon", [0.0, -1.0, float("inf"), float("nan")])
@@ -230,9 +233,20 @@ def replay_conservation(inst, scenario, trace):
     return worst
 
 
-def test_work_conservation_and_feasibility():
-    inst = two_slice_line()
-    sc = Scenario(inst, SCS1, horizon=200.0, warmup=0.0, seed=3)
+def engine_strings():
+    """Every ENGINES kind, with alpha 1 for the kinds that take one."""
+    return [kind if solver == "maxmin_waterfill" else f"{kind}(1)"
+            for kind, (_, solver) in ENGINES.items()]
+
+
+@pytest.mark.parametrize("engine", engine_strings())
+@pytest.mark.parametrize("name,horizon", [("two_slice_line", 200.0),
+                                          ("fig7_multiresource", 40.0)])
+def test_work_conservation_and_feasibility(name, horizon, engine):
+    inst = (two_slice_line() if name == "two_slice_line"
+            else load_builtin(name).instance)
+    sc = Scenario(inst, EngineSpec.from_string(engine), horizon=horizon,
+                  warmup=0.0, seed=3)
     out = run_simulation(sc, keep_trace=True)
     assert out.metrics.departures > 50
     assert replay_conservation(inst, sc, out.trace) <= 1e-9
@@ -303,6 +317,13 @@ def test_resampled_departure_flow_matches():
         a, b = interdep(tracked, cid), interdep(resampled, cid)
         assert min(len(a), len(b)) > 300
         assert stats.ks_2samp(a, b).pvalue >= 0.05
+
+
+def test_schedule_rejects_resampling():
+    sc = Scenario(two_slice_line(), SCS1, horizon=10.0)
+    with pytest.raises(ValidationError, match="schedule"):
+        Simulation(sc, arrival_schedule=[(0.0, "c1", 1.0)],
+                   resample_exponential=True)
 
 
 def test_replicate_identical_seeds_and_ci_shrink():
