@@ -15,8 +15,7 @@ from .model import (
     Resource, SliceSpec, UserClass, Instance, ValidationError,
     validate_instance, PopulationState, ClassWeights, scwa_weights,
     drf_weights, dps_weights, drf_unconstrained_weights, Allocation,
-    FeasibilityReport, feasibility_report, EQUAL_INTRA_SLICE, EXPONENTIAL,
-    DETERMINISTIC,
+    FeasibilityReport, feasibility_report, EXPONENTIAL, DETERMINISTIC,
 )
 from .engines import (
     SolverOptions, SolverError, Residuals, SolveResult, DEFAULT_OPTIONS,
@@ -46,8 +45,7 @@ __all__ = [
     "Resource", "SliceSpec", "UserClass", "Instance", "ValidationError",
     "validate_instance", "PopulationState", "ClassWeights", "scwa_weights",
     "drf_weights", "dps_weights", "drf_unconstrained_weights", "Allocation",
-    "FeasibilityReport", "feasibility_report", "EQUAL_INTRA_SLICE",
-    "EXPONENTIAL", "DETERMINISTIC",
+    "FeasibilityReport", "feasibility_report", "EXPONENTIAL", "DETERMINISTIC",
     "SolverOptions", "SolverError", "Residuals", "SolveResult",
     "DEFAULT_OPTIONS", "solve_alpha_scs", "maxmin_waterfill",
     "static_partition",

@@ -181,8 +181,8 @@ def _solve_with_caps(instance, q_full, alpha, caps, opts, warm_duals=None):
     rates = np.zeros(n_cls)
     duals = np.zeros(n_res)
     if not active.any():
-        return SolveResult(Allocation(tuple(rates), tuple(duals)), 0,
-                           Residuals(0.0, 0.0))
+        return SolveResult(Allocation(tuple(rates.tolist()), tuple(duals.tolist())),
+                           0, Residuals(0.0, 0.0))
     # resources no live class uses keep a zero dual and stay out of the
     # iteration, where their Hessian diagonal would be zero
     cols = open_res & (D[active] > 0).any(axis=0)
@@ -205,8 +205,8 @@ def _solve_with_caps(instance, q_full, alpha, caps, opts, warm_duals=None):
         rates /= peak
         feas = 0.0
     duals[cols] = nu / caps[cols]
-    return SolveResult(Allocation(tuple(rates), tuple(duals)), iters,
-                       Residuals(feas, cs))
+    return SolveResult(Allocation(tuple(rates.tolist()), tuple(duals.tolist())),
+                       iters, Residuals(feas, cs))
 
 
 def solve_alpha_scs(instance, weights, alpha, opts=DEFAULT_OPTIONS,
@@ -249,7 +249,7 @@ def maxmin_waterfill(instance, weights) -> SolveResult:
         frozen_usage = frozen_usage + rates[froze] @ D[froze]
         active = active & ~froze
     feas = max(float((frozen_usage - 1.0).max()), 0.0) if n_res else 0.0
-    return SolveResult(Allocation(tuple(rates)), rounds,
+    return SolveResult(Allocation(tuple(rates.tolist())), rounds,
                        Residuals(feasibility=feas))
 
 
@@ -270,7 +270,7 @@ def static_partition(instance, weights, alpha, opts=DEFAULT_OPTIONS) -> dict[str
         qv[idx] = q[idx]
         if not (qv > 0).any():
             results[s.id] = SolveResult(
-                Allocation(tuple(np.zeros_like(q)), tuple(np.zeros(instance.n_resources))),
+                Allocation((0.0,) * len(q), (0.0,) * instance.n_resources),
                 0, Residuals(0.0, 0.0))
             continue
         caps = np.full(instance.n_resources, s.share)

@@ -53,7 +53,7 @@ def random_scwa_weights(rng, instance, min_frac=0.15) -> ClassWeights:
         split = split / split.sum() * s.share
         for i, j in enumerate(idx):
             values[j] = split[i]
-    return ClassWeights(tuple(float(x) for x in values), "equal-intra-class")
+    return ClassWeights(tuple(float(x) for x in values))
 
 
 def random_parallel_instance(rng, max_classes=6, max_resources=3, max_slices=3,

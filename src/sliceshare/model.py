@@ -23,9 +23,6 @@ EXPONENTIAL = "exponential"
 DETERMINISTIC = "deterministic"
 WORKLOAD_KINDS = (EXPONENTIAL, DETERMINISTIC)
 
-EQUAL_INTRA_SLICE = "equal-intra-slice"
-
-
 class ValidationError(ValueError):
     """An instance, population, or weight vector violates the model rules."""
 
@@ -246,16 +243,15 @@ class PopulationState:
 
 @dataclass(frozen=True)
 class ClassWeights:
-    """Per-class weights q_c plus the policy that produced them."""
+    """Per-class weights q_c."""
 
     values: tuple[float, ...]
-    policy: str
 
     def array(self) -> np.ndarray:
         return np.array(self.values, dtype=float)
 
 
-def _population_weights(instance, pop, policy, dominant, per_slice) -> ClassWeights:
+def _population_weights(instance, pop, dominant, per_slice) -> ClassWeights:
     """The weight rule every population-driven engine shares.
 
     Each present user of class c in slice v weighs share_v, so
@@ -280,31 +276,31 @@ def _population_weights(instance, pop, policy, dominant, per_slice) -> ClassWeig
         if per_slice:
             q /= slice_totals[v]
         values.append(q)
-    return ClassWeights(tuple(values), policy)
+    return ClassWeights(tuple(values))
 
 
 def scwa_weights(instance, pop) -> ClassWeights:
     """Share-constrained weights: each slice's share split equally over its
     present users, q_c = share_v * n_c / n_v."""
-    return _population_weights(instance, pop, EQUAL_INTRA_SLICE, False, True)
+    return _population_weights(instance, pop, dominant=False, per_slice=True)
 
 
 def drf_weights(instance, pop) -> ClassWeights:
     """Dominant-resource-fairness weights, q_c = share_v * n_c * delta_c / n_v
     with delta_c = 1 / max_r d_c^r.  Not share-constrained in general."""
-    return _population_weights(instance, pop, "drf", True, True)
+    return _population_weights(instance, pop, dominant=True, per_slice=True)
 
 
 def dps_weights(instance, pop) -> ClassWeights:
     """Discriminatory processor sharing, q_c = share_v * n_c: weights grow
     with the population, so a busy slice can crowd out a small one."""
-    return _population_weights(instance, pop, "dps", False, False)
+    return _population_weights(instance, pop, dominant=False, per_slice=False)
 
 
 def drf_unconstrained_weights(instance, pop) -> ClassWeights:
     """DPS weights discounted by the reciprocal dominant demand,
     q_c = share_v * n_c * delta_c, with no per-slice normalization."""
-    return _population_weights(instance, pop, "drf-unconstrained", True, False)
+    return _population_weights(instance, pop, dominant=True, per_slice=False)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ Grammar (one record per line; blank lines and '#' comments ignored):
 
 Engines are the kinds of sliceshare.sim.ENGINES: 'maxmin-scs', 'dps', 'drf',
 'drf_unconstrained', 'scs(<alpha>)' or 'static-partition(<alpha>)', with a
-finite alpha > 0.  Seeds are integers >= 0.  Exactly one run record is
-required; the sweep record is optional.  Unknown record types and unknown
-keys are rejected with their line number.
+finite alpha > 0.  Seeds are integers >= 0, warmup is in [0, 1) and sweep
+values are finite.  Exactly one run record is required; the sweep record is
+optional.  Every rejected record, sweep checks included, names its line.
 """
 
 import math
@@ -193,10 +193,13 @@ def parse_scenario_text(text, label="") -> ScenarioFile:
             horizon = _float(lineno, "horizon", kv["horizon"])
             if not (0.0 < horizon < math.inf):
                 _fail(lineno, f"horizon must be finite and > 0, got {kv['horizon']!r}")
+            warmup = _float(lineno, "warmup", kv["warmup"]) if "warmup" in kv else 0.1
+            if not (0.0 <= warmup < 1.0):
+                _fail(lineno, f"warmup must be in [0, 1), got {kv['warmup']!r}")
             run = RunBlock(
                 tuple(engines),
                 horizon,
-                _float(lineno, "warmup", kv["warmup"]) if "warmup" in kv else 0.1,
+                warmup,
                 _parse_seeds(lineno, kv["seeds"]) if "seeds" in kv else (0,),
                 _positive_int(lineno, "max_departures", kv["max_departures"])
                 if "max_departures" in kv else None)
@@ -210,9 +213,9 @@ def parse_scenario_text(text, label="") -> ScenarioFile:
                               f"arrival_rate:<class|*>, got {kv['key']!r}")
             values = tuple(_float(lineno, "values", x)
                            for x in kv["values"].split(","))
-            if not values:
-                _fail(lineno, "sweep needs at least one value")
-            sweep = SweepSpec(kind, target, values)
+            if not all(math.isfinite(v) for v in values):
+                _fail(lineno, f"sweep values must be finite, got {kv['values']!r}")
+            sweep, sweep_line = SweepSpec(kind, target, values), lineno
         else:
             _fail(lineno, f"unknown record type {record!r}")
 
@@ -224,29 +227,26 @@ def parse_scenario_text(text, label="") -> ScenarioFile:
                                       tuple(classes)))
     sf = ScenarioFile(label, inst, run, sweep)
     if sweep is not None:
-        _check_sweep(sf)
+        _check_sweep(sf, sweep_line)
     return sf
 
 
-def _check_sweep(sf):
+def _check_sweep(sf, lineno):
     sw = sf.sweep
     if sw.kind == "share":
         if sf.instance.n_slices != 2:
-            raise ScenarioParseError(
-                "share sweeps need exactly two slices (sweep.key)")
+            _fail(lineno, "share sweeps need exactly two slices (sweep.key)")
         if sw.target not in sf.instance.slice_index:
-            raise ScenarioParseError(f"unknown slice {sw.target!r} (sweep.key)")
+            _fail(lineno, f"unknown slice {sw.target!r} (sweep.key)")
         for v in sw.values:
             if not (0.0 < v < 1.0):
-                raise ScenarioParseError(
-                    f"swept share {v:g} outside (0, 1) (sweep.values)")
+                _fail(lineno, f"swept share {v:g} outside (0, 1) (sweep.values)")
     else:
         if sw.target != "*" and sw.target not in sf.instance.class_index:
-            raise ScenarioParseError(f"unknown class {sw.target!r} (sweep.key)")
+            _fail(lineno, f"unknown class {sw.target!r} (sweep.key)")
         for v in sw.values:
             if v < 0:
-                raise ScenarioParseError(
-                    f"negative arrival rate {v:g} (sweep.values)")
+                _fail(lineno, f"negative arrival rate {v:g} (sweep.values)")
 
 
 def apply_sweep(sf, value) -> Instance:

@@ -4,9 +4,11 @@ Users of class c arrive Poisson(arrival_rate), carry a workload drawn per
 the class distribution, and are served at phi_c / n_c until the workload
 completes.  Rates are piecewise constant between events; depletion times
 are exact, so there is no time-stepping error.  Traffic randomness is
-engine-independent: each class owns labeled substreams derived from the
-scenario seed, and engines never touch them, so runs that differ only in
-the engine share identical arrival/workload sample paths.
+engine-independent: each class owns one stream of (arrival time, workload)
+pairs, drawn from labeled substreams of the scenario seed (or read from a
+fixed `arrival_schedule`), and engines never touch it, so runs that differ
+only in the engine share identical arrival/workload sample paths.  A
+user's workload is fixed at arrival and never resampled.
 
 Each event costs O(classes): `step` keeps `n_users == sum(counts)` and
 `n_busy` == the number of slices with a user.  Per-user rates are divided
@@ -22,7 +24,7 @@ import numpy as np
 
 from .model import (PopulationState, ValidationError, scwa_weights,
                     drf_weights, dps_weights, drf_unconstrained_weights,
-                    EXPONENTIAL, DETERMINISTIC)
+                    DETERMINISTIC)
 from .engines import (DEFAULT_OPTIONS, SolverError, solve_alpha_scs,
                       maxmin_waterfill, static_partition)
 
@@ -175,11 +177,25 @@ def _class_rng(seed, class_idx, label):
     return np.random.default_rng(np.random.SeedSequence((seed, class_idx, label)))
 
 
+def _poisson_arrivals(seed, c, cl):
+    """Class c's (arrival time, workload) pairs from its substreams 0 and 1."""
+    arr, work = _class_rng(seed, c, 0), _class_rng(seed, c, 1)
+    t = 0.0
+    while cl.arrival_rate > 0:
+        t += arr.exponential(1.0 / cl.arrival_rate)
+        yield t, (cl.mean_workload if cl.workload == DETERMINISTIC
+                  else float(work.exponential(cl.mean_workload)))
+
+
+_NO_ARRIVAL = (math.inf, 0.0)
+
+
 class Simulation:
-    """One deterministic run.  Mutable; create fresh per run."""
+    """One deterministic run.  Mutable; create fresh per run.  A fixed
+    arrival_schedule [(time, class_id, workload), ...] replaces every sampled arrival."""
 
     def __init__(self, scenario, keep_trace=False, arrival_schedule=None,
-                 resample_exponential=False, opts=DEFAULT_OPTIONS):
+                 opts=DEFAULT_OPTIONS):
         self.scenario = scenario
         self.inst = scenario.instance
         self.opts = opts
@@ -195,27 +211,27 @@ class Simulation:
         self.next_uid = 0
         self.events_done = 0
         self.keep_trace = keep_trace
-        self.resample = resample_exponential
 
-        self.schedule = None
-        if arrival_schedule is not None:
-            if resample_exponential:
-                raise ValidationError("an arrival schedule fixes every "
-                                      "workload; it cannot be resampled")
-            idx = self.inst.class_index
-            self.schedule = sorted(
-                ((float(t), idx[cid], float(w)) for t, cid, w in arrival_schedule))
-            self.sched_pos = 0
-            self.arr_rng = self.work_rng = self.res_rng = None
+        if arrival_schedule is None:
+            self.arrivals = [_poisson_arrivals(scenario.seed, c, cl)
+                             for c, cl in enumerate(self.inst.classes)]
         else:
-            seed = scenario.seed
-            self.arr_rng = [_class_rng(seed, c, 0) for c in range(n_cls)]
-            self.work_rng = [_class_rng(seed, c, 1) for c in range(n_cls)]
-            self.res_rng = [_class_rng(seed, c, 2) for c in range(n_cls)]
-            self.next_arrival = [
-                self.t + self.arr_rng[c].exponential(1.0 / cl.arrival_rate)
-                if cl.arrival_rate > 0 else math.inf
-                for c, cl in enumerate(self.inst.classes)]
+            idx = self.inst.class_index
+            per_class = [[] for _ in range(n_cls)]
+            for t, cid, w in arrival_schedule:
+                t, w = float(t), float(w)
+                if cid not in idx:
+                    raise ValidationError(f"scheduled arrival of unknown class {cid!r}")
+                if not 0.0 <= t < math.inf:
+                    raise ValidationError(f"scheduled arrival time {t!r} is not finite and >= 0")
+                if not 0.0 < w < math.inf:
+                    raise ValidationError(f"scheduled workload {w!r} is not finite and > 0")
+                per_class[idx[cid]].append((t, w))
+            self.arrivals = [iter(sorted(p)) for p in per_class]
+        # each class's next (arrival time, workload); inf once its stream ends
+        heads = [next(stream, _NO_ARRIVAL) for stream in self.arrivals]
+        self.next_arrival = [ta for ta, _ in heads]
+        self.next_work = [w for _, w in heads]
 
         self._alloc_cache = {}     # counts -> (rates, alloc_id, duals)
         self._warm = None
@@ -264,7 +280,7 @@ class Simulation:
                     total = np.zeros(self.inst.n_classes)
                     for r in solve(self.inst, q, engine.alpha, self.opts).values():
                         total += r.allocation.array()
-                    rates = tuple(float(x) for x in total)
+                    rates = total.tolist()
             except SolverError as e:
                 raise SolverError(
                     f"engine failed at event {self.events_done} "
@@ -291,18 +307,12 @@ class Simulation:
                 tc = t + (0.0 if dt < 0.0 else dt)
                 if tc < when or (tc == when and u < uid):
                     when, uid, dep_c = tc, u, c
-        if self.schedule is not None:
-            if self.sched_pos < len(self.schedule):
-                ts, c, _ = self.schedule[self.sched_pos]
-                if ts < when:
-                    return (ts, "arrival", c, -1)
-        else:
-            arr_c = -1
-            for c, ta in enumerate(self.next_arrival):
-                if ta < when:
-                    when, arr_c = ta, c
-            if arr_c >= 0:
-                return (when, "arrival", arr_c, -1)
+        arr_c = -1
+        for c, ta in enumerate(self.next_arrival):
+            if ta < when:
+                when, arr_c = ta, c
+        if arr_c >= 0:
+            return (when, "arrival", arr_c, -1)
         if when == math.inf:
             return None
         return (when, "departure", dep_c, uid)
@@ -335,17 +345,6 @@ class Simulation:
             if n and rates[c] > 0:
                 offsets[c] += rates[c] / n * dt
 
-    def _resample_residuals(self):
-        for c, cl in enumerate(self.inst.classes):
-            if cl.workload != EXPONENTIAL or not self.users[c]:
-                continue
-            fresh = []
-            for _, uid, t_arr, work in sorted(self.users[c]):   # draw in key order
-                draw = self.res_rng[c].exponential(cl.mean_workload)
-                fresh.append((draw + self.offsets[c], uid, t_arr, work))
-            fresh.sort()    # a sorted list is a heap
-            self.users[c] = fresh
-
     def step(self):
         """Apply the next event; False once the horizon is reached."""
         ev = self.next_event()
@@ -376,17 +375,9 @@ class Simulation:
                 self.delay_sum[slice_idx] += sojourn
                 self.tput_sum[slice_idx] += work / sojourn
         else:
-            if self.schedule is not None:
-                _, _, work = self.schedule[self.sched_pos]
-                self.sched_pos += 1
-            else:
-                cl = self.inst.classes[c]
-                if cl.workload == DETERMINISTIC:
-                    work = cl.mean_workload
-                else:
-                    work = float(self.work_rng[c].exponential(cl.mean_workload))
-                self.next_arrival[c] = te + float(
-                    self.arr_rng[c].exponential(1.0 / cl.arrival_rate))
+            work = self.next_work[c]
+            self.next_arrival[c], self.next_work[c] = next(self.arrivals[c],
+                                                           _NO_ARRIVAL)
             uid = self.next_uid
             self.next_uid += 1
             heapq.heappush(self.users[c], (work + self.offsets[c], uid, te, work))
@@ -396,8 +387,6 @@ class Simulation:
                 self.n_busy += 1
             slice_counts[slice_idx] += 1
 
-        if self.resample:
-            self._resample_residuals()
         self._allocate()
         self.events_done += 1
         if self.keep_trace:
@@ -480,10 +469,8 @@ def busy_fractions(trace, window) -> tuple[float, ...]:
     return tuple(x / total for x in k_time)
 
 
-def stability_probe(scenario, engine=None, opts=DEFAULT_OPTIONS):
+def stability_probe(scenario, opts=DEFAULT_OPTIONS):
     """Effective-load arithmetic plus an empirical growth verdict."""
-    if engine is not None:
-        scenario = replace(scenario, engine=engine)
     inst = scenario.instance
     load = np.zeros(inst.n_resources)
     for i, cl in enumerate(inst.classes):

@@ -226,7 +226,7 @@ def test_11_littles_law(capsys):
 def test_12_three_user_fixture(capsys):
     inst = load_builtin("table1_static").instance
     rep = feasibility_report(inst, (0.4, 0.5, 0.5))
-    weights = ClassWeights((0.25, 0.25, 0.5), "equal-intra-class")
+    weights = ClassWeights((0.25, 0.25, 0.5))
     sol = solve_alpha_scs(inst, weights, 1.0, opts=FIRM)
     rates = sol.allocation.array()
     rate_err = float(np.abs(rates - np.array([0.4, 1 / 3, 2 / 3])).max())

@@ -248,12 +248,29 @@ def test_solver_failure_exits_2(tmp_path, monkeypatch, capsys):
      "needs a finite alpha > 0"),
     ("seeds=0..2", "seeds=-3..-1", "seeds must be >= 0"),
     ("seeds=0..2", "seeds=4,-1", "seeds must be >= 0"),
+    ("warmup=0", "warmup=2", "warmup must be in [0, 1)"),
+    ("warmup=0", "warmup=nan", "warmup must be in [0, 1)"),
 ])
 def test_bad_run_record_exits_1_with_line(tmp_path, capsys, old, new, needle):
     scen = write(tmp_path, MINIMAL.replace(old, new))
     assert main(["run", scen, "-o", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
     assert "line 7:" in err
+    assert needle in err
+
+
+@pytest.mark.parametrize("sweep,needle", [
+    ("sweep key=share:s1 values=0.3,nan", "sweep values must be finite"),
+    ("sweep key=arrival_rate:* values=nan", "sweep values must be finite"),
+    ("sweep key=share:s1 values=1.5", "outside (0, 1)"),
+    ("sweep key=arrival_rate:c9 values=0.5", "unknown class"),
+])
+def test_bad_sweep_record_exits_1_with_line(tmp_path, capsys, sweep, needle):
+    scen = write(tmp_path, SWEPT.replace("sweep key=share:s1 values=0.3,0.5,0.7",
+                                         sweep))
+    assert main(["sweep", scen, "-o", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "line 8:" in err
     assert needle in err
 
 

@@ -182,12 +182,6 @@ def test_waterfill_bottleneck_certificate():
         assert_maxmin_certificate(inst, q, maxmin_waterfill(inst, q).allocation.rates)
 
 
-def test_class_fair_weights_wash_out_at_high_alpha(single_resource):
-    # per-user share weights, unlike class-level ones, do not wash out
-    scs = solve_alpha_scs(single_resource, (0.3, 0.7), 50.0).allocation.array()
-    assert scs == pytest.approx((0.3, 0.7), abs=0.02)
-
-
 def test_drf_weights_fixture():
     inst = make_instance(
         ["r1", "r2"], [("s1", 0.5), ("s2", 0.5)],
