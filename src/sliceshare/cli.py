@@ -1,6 +1,6 @@
 """Command line front end: run, sweep, verify.
 
-Exit codes: 0 success, 1 usage or parse error, 2 solver failure,
+Exit codes: 0 success, 1 usage, parse or I/O error, 2 solver failure,
 3 verification failure.
 """
 
@@ -55,9 +55,14 @@ def _build_parser():
 
 def _load(arg):
     if os.path.isfile(arg):
-        with open(arg) as fh:
-            label = os.path.splitext(os.path.basename(arg))[0]
-            return parse_scenario_text(fh.read(), label=label)
+        try:
+            with open(arg, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ValidationError(f"scenario file {arg!r} is not UTF-8 text "
+                                  f"(byte {e.start}: {e.reason})") from e
+        label = os.path.splitext(os.path.basename(arg))[0]
+        return parse_scenario_text(text, label=label)
     if arg in builtin_names():
         return load_builtin(arg)
     raise ValidationError(
@@ -68,8 +73,9 @@ def _fmt(x):
     return f"{x:.6g}"
 
 
-def _rows(sf, sweep_values):
-    """Yield (header, row) CSV lines in (sweep value, engine, seed) order."""
+def _rows(sf, sweep_values, trace=None):
+    """Yield CSV lines in (sweep value, engine, seed) order; given an open
+    file trace, each run also writes its event trace there."""
     ids = sf.instance.slice_ids
     header = ["scenario", "engine", "alpha", "seed", "sweep_value"]
     header += [f"delay_{sid}" for sid in ids]
@@ -82,12 +88,15 @@ def _rows(sf, sweep_values):
             for seed in sf.run.seeds:
                 sc = sf.scenario(eng, seed, sweep_value=value)
                 try:
-                    nums = run_simulation(sc).metrics.numbers(ids)
+                    result = run_simulation(sc, keep_trace=trace is not None)
                 except SolverError as e:
                     where = "" if value is None else f"sweep value {_fmt(value)}, "
                     raise SolverError(f"{where}engine {eng.key}, seed {seed}: {e}",
                                       residuals=e.residuals,
                                       iterations=e.iterations) from e
+                if trace is not None:
+                    _write_trace(trace, result.trace)
+                nums = result.metrics.numbers(ids)
                 row = [sf.label or "scenario", eng.key,
                        "" if eng.alpha is None else _fmt(eng.alpha),
                        str(seed),
@@ -105,24 +114,23 @@ def _write_csv(path, lines):
     return n
 
 
-def _write_trace(path, trace):
-    with open(path, "w") as fh:
-        for ev in trace.events:
-            counts = ";".join(str(c) for c in ev.counts)
-            fh.write(f"{ev.time:.9f},{ev.kind},{ev.class_id},{counts},"
-                     f"{ev.alloc_id}\n")
+def _write_trace(fh, trace):
+    for ev in trace.events:
+        counts = ";".join(str(c) for c in ev.counts)
+        fh.write(f"{ev.time:.9f},{ev.kind},{ev.class_id},{counts},"
+                 f"{ev.alloc_id}\n")
 
 
 def cmd_run(args):
     sf = _load(args.scenario)
-    if args.trace is not None:
-        if len(sf.run.engines) != 1 or len(sf.run.seeds) != 1:
-            raise _UsageError("--trace needs a run block with exactly one "
-                              "engine and one seed")
-        sc = sf.scenario(sf.run.engines[0], sf.run.seeds[0])
-        result = run_simulation(sc, keep_trace=True)
-        _write_trace(args.trace, result.trace)
-    n = _write_csv(args.output, _rows(sf, [None]))
+    if args.trace is None:
+        n = _write_csv(args.output, _rows(sf, [None]))
+    elif len(sf.run.engines) != 1 or len(sf.run.seeds) != 1:
+        raise _UsageError("--trace needs a run block with exactly one "
+                          "engine and one seed")
+    else:
+        with open(args.trace, "w") as trace:
+            n = _write_csv(args.output, _rows(sf, [None], trace))
     print(f"wrote {n} rows to {args.output}")
     return 0
 
@@ -153,10 +161,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args)
         return cmd_verify(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValidationError as e:
+    except (_UsageError, ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except SolverError as e:

@@ -12,11 +12,11 @@ Grammar (one record per line; blank lines and '#' comments ignored):
     sweep key=share:<slice_id>|arrival_rate:*|arrival_rate:<class_id>
           values=<float>[,<float>...]
 
-Engines are the kinds of sliceshare.sim.ENGINES: 'maxmin-scs', 'dps', 'drf',
-'drf_unconstrained', 'scs(<alpha>)' or 'static-partition(<alpha>)', with a
-finite alpha > 0.  Seeds are integers >= 0, warmup is in [0, 1) and sweep
-values are finite.  Exactly one run record is required; the sweep record is
-optional.  Every rejected record, sweep checks included, names its line.
+Engines are the kinds of sliceshare.sim.ENGINES: 'scs(<alpha>)',
+'static-partition(<alpha>)', 'maxmin-scs', 'dps', 'drf', 'drf_unconstrained';
+the table says which take an alpha (finite, > 0).  Seeds are integers >= 0,
+warmup is in [0, 1) and sweep values are finite.  Exactly one run record is
+required; the sweep record is optional.  Every rejected record names its line.
 """
 
 import math

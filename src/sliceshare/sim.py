@@ -28,17 +28,34 @@ from .model import (PopulationState, ValidationError, scwa_weights,
 from .engines import (DEFAULT_OPTIONS, SolverError, solve_alpha_scs,
                       maxmin_waterfill, static_partition)
 
-# engine kind -> (weight rule, solver).  The alpha-fair solvers take an
-# alpha; the water-fill takes none.  Both are names of this module's
-# globals, looked up when a population is solved, so that a function
-# replaced on this module (by a test or a tracer) is the one called.
+
+def _waterfill(inst, q, alpha, opts, warm):
+    return maxmin_waterfill(inst, q).allocation.rates, None
+
+
+def _alpha_fair(inst, q, alpha, opts, warm):
+    alloc = solve_alpha_scs(inst, q, alpha, opts, warm_duals=warm).allocation
+    return alloc.rates, alloc.duals
+
+
+def _partition(inst, q, alpha, opts, warm):
+    total = [0.0] * inst.n_classes
+    for r in static_partition(inst, q, alpha, opts).values():
+        total = [a + b for a, b in zip(total, r.allocation.rates)]
+    return tuple(total), None
+
+
+# engine kind -> (weight rule, solve, takes alpha); a solve maps (instance,
+# weights, alpha, opts, warm duals) to (rates, duals).  Both call this module's
+# globals by name, so a function replaced here (by a test or a tracer) is used.
 ENGINES = {
-    "scs": ("scwa_weights", "solve_alpha_scs"),
-    "maxmin-scs": ("scwa_weights", "maxmin_waterfill"),
-    "drf": ("drf_weights", "maxmin_waterfill"),
-    "dps": ("dps_weights", "maxmin_waterfill"),
-    "drf_unconstrained": ("drf_unconstrained_weights", "maxmin_waterfill"),
-    "static-partition": ("scwa_weights", "static_partition"),
+    "scs": (lambda inst, pop: scwa_weights(inst, pop), _alpha_fair, True),
+    "maxmin-scs": (lambda inst, pop: scwa_weights(inst, pop), _waterfill, False),
+    "drf": (lambda inst, pop: drf_weights(inst, pop), _waterfill, False),
+    "dps": (lambda inst, pop: dps_weights(inst, pop), _waterfill, False),
+    "drf_unconstrained": (lambda inst, pop: drf_unconstrained_weights(inst, pop),
+                          _waterfill, False),
+    "static-partition": (lambda inst, pop: scwa_weights(inst, pop), _partition, True),
 }
 
 
@@ -50,7 +67,7 @@ class EngineSpec:
     def __post_init__(self):
         if self.kind not in ENGINES:
             raise ValidationError(f"unknown engine {self.kind!r}")
-        if ENGINES[self.kind][1] == "maxmin_waterfill":
+        if not ENGINES[self.kind][2]:
             if self.alpha is not None:
                 raise ValidationError(f"engine {self.kind} takes no alpha")
         elif self.alpha is None or not (0 < self.alpha < math.inf):
@@ -135,18 +152,14 @@ class Metrics:
         return "inconclusive"
 
     def numbers(self, slice_ids) -> dict[str, float]:
-        out = {}
-        for sid in slice_ids:
-            out[f"delay_{sid}"] = self.per_slice[sid].mean_delay
-        for sid in slice_ids:
-            out[f"tput_{sid}"] = self.per_slice[sid].mean_throughput
-        out["mean_delay"] = self.mean_delay
-        out["mean_throughput"] = self.mean_throughput
-        out["frac_idle"] = self.frac_idle
-        out["frac_one_busy"] = self.frac_one_busy
-        out["frac_both_busy"] = self.frac_both_busy
-        out["mean_population"] = self.mean_population
-        out["departures"] = float(self.departures)
+        out = {f"delay_{sid}": self.per_slice[sid].mean_delay for sid in slice_ids}
+        out.update((f"tput_{sid}", self.per_slice[sid].mean_throughput)
+                   for sid in slice_ids)
+        out.update(mean_delay=self.mean_delay, mean_throughput=self.mean_throughput,
+                   frac_idle=self.frac_idle, frac_one_busy=self.frac_one_busy,
+                   frac_both_busy=self.frac_both_busy,
+                   mean_population=self.mean_population,
+                   departures=float(self.departures))
         return out
 
 
@@ -265,28 +278,16 @@ class Simulation:
             rates = (0.0,) * self.inst.n_classes
         else:
             engine = self.scenario.engine
-            rule, solver = ENGINES[engine.kind]
-            q = globals()[rule](self.inst, PopulationState(key))
-            solve = globals()[solver]
+            rule, solve, _ = ENGINES[engine.kind]
+            q = rule(self.inst, PopulationState(key))
             try:
-                if solver == "maxmin_waterfill":
-                    rates = solve(self.inst, q).allocation.rates
-                elif solver == "solve_alpha_scs":
-                    res = solve(self.inst, q, engine.alpha, self.opts,
-                                warm_duals=self._warm)
-                    duals = res.allocation.duals
-                    rates = res.allocation.rates
-                else:   # static_partition: one result per slice
-                    total = np.zeros(self.inst.n_classes)
-                    for r in solve(self.inst, q, engine.alpha, self.opts).values():
-                        total += r.allocation.array()
-                    rates = total.tolist()
+                rates, duals = solve(self.inst, q, engine.alpha, self.opts,
+                                     self._warm)
             except SolverError as e:
                 raise SolverError(
                     f"engine failed at event {self.events_done} "
                     f"(population {key}): {e}",
                     residuals=e.residuals, iterations=e.iterations) from e
-        rates = tuple(rates)
         # alloc_id is the insertion index; _trace relies on the cache's order
         entry = self._alloc_cache[key] = (rates, len(self._alloc_cache), duals)
         self.rates, self.alloc_id, self._warm = entry
@@ -474,8 +475,7 @@ def stability_probe(scenario, opts=DEFAULT_OPTIONS):
     inst = scenario.instance
     load = np.zeros(inst.n_resources)
     for i, cl in enumerate(inst.classes):
-        rho = cl.arrival_rate * cl.mean_workload
-        load += rho * inst.demand_matrix[i]
+        load += cl.arrival_rate * cl.mean_workload * inst.demand_matrix[i]
     metrics = run_simulation(scenario, opts=opts).metrics
     return StabilityReport(float(load.max()), metrics.stability_verdict,
                            metrics.quarter_means, metrics)
@@ -508,9 +508,8 @@ def replicate(scenario, engines, seeds, opts=DEFAULT_OPTIONS):
         for seed in seeds:
             sc = replace(scenario, engine=eng, seed=seed)
             rows.append(run_simulation(sc, opts=opts).metrics.numbers(ids))
-        fields = rows[0].keys()
         summ = {}
-        for f in fields:
+        for f in rows[0]:
             vals = np.array([r[f] for r in rows], float)
             half = 1.96 * vals.std(ddof=1) / math.sqrt(len(vals))
             summ[f] = Summary(float(vals.mean()), float(half),

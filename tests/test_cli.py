@@ -7,6 +7,7 @@ from sliceshare.engines import SolverError
 from sliceshare.scenario import (ScenarioParseError, parse_scenario_text,
                                  apply_sweep, builtin_names, load_builtin)
 from sliceshare.cli import main
+from sliceshare.sim import run_simulation
 import sliceshare.cli as cli_mod
 
 MINIMAL = """\
@@ -18,6 +19,9 @@ class c1 slice=s1 demand=r1:1 arrival_rate=0.3
 class c2 slice=s2 demand=r1:1 arrival_rate=0.3
 run engines=dps,maxmin-scs horizon=60 warmup=0 seeds=0..2
 """
+
+ONE_RUN = MINIMAL.replace("engines=dps,maxmin-scs", "engines=dps").replace(
+    "seeds=0..2", "seeds=3")
 
 SWEPT = MINIMAL.replace(
     "run engines=dps,maxmin-scs horizon=60 warmup=0 seeds=0..2",
@@ -182,8 +186,7 @@ def test_cmd_sweep_requires_sweep_record(tmp_path, capsys):
 
 
 def test_trace_output_format(tmp_path):
-    scen = write(tmp_path, MINIMAL.replace("engines=dps,maxmin-scs", "engines=dps")
-                 .replace("seeds=0..2", "seeds=3"))
+    scen = write(tmp_path, ONE_RUN)
     out, tr = tmp_path / "r.csv", tmp_path / "t.txt"
     assert main(["run", scen, "-o", str(out), "--trace", str(tr)]) == 0
     lines = tr.read_text().splitlines()
@@ -195,6 +198,40 @@ def test_trace_output_format(tmp_path):
         t = float(l.split(",")[0])
         assert t >= t_prev
         t_prev = t
+
+
+def test_run_trace_simulates_once(tmp_path, monkeypatch):
+    scen = write(tmp_path, ONE_RUN)
+    plain, traced, tr = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "t.txt"
+    assert main(["run", scen, "-o", str(plain)]) == 0
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return run_simulation(*args, **kwargs)
+    monkeypatch.setattr(cli_mod, "run_simulation", counting)
+    assert main(["run", scen, "-o", str(traced), "--trace", str(tr)]) == 0
+    assert len(calls) == 1
+    assert traced.read_bytes() == plain.read_bytes()
+    assert len(tr.read_text().splitlines()) > 10
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["run", "{bad}", "-o", "{tmp}/x.csv"], "not UTF-8"),
+    (["run", "{one}", "-o", "{tmp}/missing/x.csv"], "No such file"),
+    (["sweep", "{swept}", "-o", "{tmp}/missing/x.csv"], "No such file"),
+    (["run", "{one}", "-o", "{tmp}/x.csv", "--trace", "{tmp}/missing/t.txt"],
+     "No such file"),
+], ids=["non-utf8", "run-output", "sweep-output", "trace"])
+def test_io_errors_exit_1(tmp_path, capsys, argv, needle):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"# caf\xe9\n" + MINIMAL.encode())
+    paths = dict(tmp=tmp_path, bad=bad, one=write(tmp_path, ONE_RUN),
+                 swept=write(tmp_path, SWEPT, name="swept.txt"))
+    assert main([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert needle in err
 
 
 def test_trace_needs_single_engine_and_seed(tmp_path, capsys):

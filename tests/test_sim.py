@@ -1,7 +1,13 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sliceshare.sim as sim_mod
+from sliceshare.gen import random_instance
 from sliceshare.model import (ValidationError, PopulationState, scwa_weights,
                               feasibility_report)
 from sliceshare.engines import (SolverOptions, SolverError, solve_alpha_scs,
@@ -251,8 +257,8 @@ def replay_conservation(inst, scenario, trace):
 
 def engine_strings():
     """Every ENGINES kind, with alpha 1 for the kinds that take one."""
-    return [kind if solver == "maxmin_waterfill" else f"{kind}(1)"
-            for kind, (_, solver) in ENGINES.items()]
+    return [f"{kind}(1)" if takes_alpha else kind
+            for kind, (_, _, takes_alpha) in ENGINES.items()]
 
 
 @pytest.mark.parametrize("engine", engine_strings())
@@ -268,6 +274,52 @@ def test_work_conservation_and_feasibility(name, horizon, engine):
     assert replay_conservation(inst, sc, out.trace) <= 1e-9
     for alloc in out.trace.allocations:
         assert not feasibility_report(inst, alloc).violations
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**31 - 1),
+       rates=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4))
+def test_random_instances_stay_feasible_and_conserve_work(seed, rates):
+    base = random_instance(np.random.default_rng(seed))
+    inst = replace(base, classes=tuple(replace(cl, arrival_rate=r)
+                                       for cl, r in zip(base.classes, rates)))
+    for engine in engine_strings():
+        sc = Scenario(inst, EngineSpec.from_string(engine), horizon=60.0,
+                      warmup=0.0, seed=seed)
+        out = run_simulation(sc, keep_trace=True)
+        assert replay_conservation(inst, sc, out.trace) <= 1e-9
+        for alloc in out.trace.allocations:
+            assert feasibility_report(inst, alloc).feasible, (engine, alloc)
+
+
+# the functions each kind reaches through sliceshare.sim's globals when it
+# solves a population; perfbench's tracer and call capture patch these names
+SOLVE_NAMES = {
+    "scs": ("scwa_weights", "solve_alpha_scs"),
+    "maxmin-scs": ("scwa_weights", "maxmin_waterfill"),
+    "drf": ("drf_weights", "maxmin_waterfill"),
+    "dps": ("dps_weights", "maxmin_waterfill"),
+    "drf_unconstrained": ("drf_unconstrained_weights", "maxmin_waterfill"),
+    "static-partition": ("scwa_weights", "static_partition"),
+}
+
+
+@pytest.mark.parametrize("engine", engine_strings())
+def test_engine_table_calls_patched_module_functions(engine, monkeypatch):
+    assert SOLVE_NAMES.keys() == ENGINES.keys()
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    spec = EngineSpec.from_string(engine)
+    for name in SOLVE_NAMES[spec.kind]:
+        monkeypatch.setattr(sim_mod, name, counting(name, getattr(sim_mod, name)))
+    run_simulation(Scenario(two_slice_line(), spec, horizon=20.0, seed=1))
+    assert set(calls) == set(SOLVE_NAMES[spec.kind])
 
 
 def test_engine_outputs_are_python_floats():
@@ -371,9 +423,10 @@ def test_engine_failure_reports_event():
         [("s1", 0.5), ("s2", 0.5)],
         [("c1", "s1", {"r1": 1.0}, 0.45),
          ("c2", "s2", {"r1": 0.6, "r2": 1.0}, 0.45)])
-    sc = Scenario(inst, SCS1, horizon=50.0, seed=0)
-    with pytest.raises(SolverError, match="event"):
-        run_simulation(sc, opts=SolverOptions(tol=1e-16, max_iters=3))
+    for engine in ("scs(1)", "static-partition(1)"):
+        sc = Scenario(inst, EngineSpec.from_string(engine), horizon=50.0, seed=0)
+        with pytest.raises(SolverError, match="event"):
+            run_simulation(sc, opts=SolverOptions(tol=1e-16, max_iters=3))
 
 
 def test_stability_probe_trivial_and_verdicts():
