@@ -15,7 +15,10 @@ Grammar (one record per line; blank lines and '#' comments ignored):
 Engines are the kinds of sliceshare.sim.ENGINES: 'scs(<alpha>)',
 'static-partition(<alpha>)', 'maxmin-scs', 'dps', 'drf', 'drf_unconstrained';
 the table says which take an alpha (finite, > 0).  Seeds are integers >= 0,
-warmup is in [0, 1) and sweep values are finite.  Exactly one run record is
+warmup is in [0, 1) and sweep values are finite.  Capacities, shares, mean
+workloads and horizons are finite and > 0; demands and arrival rates are
+finite and >= 0, with some demand > 0.  Ids are unique per record type, and
+classes name declared slices and resources.  Exactly one run record is
 required; the sweep record is optional.  Every rejected record names its line.
 """
 
@@ -25,7 +28,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from .model import (Instance, Resource, SliceSpec, UserClass, ValidationError,
-                    validate_instance, EXPONENTIAL, DETERMINISTIC)
+                    validate_instance, _check_id, EXPONENTIAL, DETERMINISTIC)
 from .sim import EngineSpec, Scenario
 
 
@@ -90,6 +93,28 @@ def _float(lineno, key, v):
         _fail(lineno, f"bad number for {key}: {v!r}")
 
 
+def _value(lineno, key, v, zero_ok=False):
+    """v as a finite float > 0, or >= 0 with zero_ok."""
+    x = _float(lineno, key, v)
+    if not (math.isfinite(x) and (x >= 0.0 if zero_ok else x > 0.0)):
+        _fail(lineno, f"{key} must be finite and {'>=' if zero_ok else '>'} 0, got {v!r}")
+    return x
+
+
+def _record_id(lineno, kind, rest, seen):
+    """The record's id, checked and entered in seen (id -> line number)."""
+    if not rest or "=" in rest[0]:
+        _fail(lineno, f"{kind} needs an id")
+    try:
+        _check_id(kind, rest[0])
+    except ValidationError as e:
+        _fail(lineno, str(e))
+    if rest[0] in seen:
+        _fail(lineno, f"duplicate {kind} id {rest[0]!r} (first on line {seen[rest[0]]})")
+    seen[rest[0]] = lineno
+    return rest[0]
+
+
 def _positive_int(lineno, key, v):
     try:
         n = int(v)
@@ -127,6 +152,7 @@ def parse_scenario_text(text, label="") -> ScenarioFile:
     run = None
     sweep = None
     schema_seen = False
+    declared = {"resource": {}, "slice": {}, "class": {}}   # id -> line, per kind
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -141,20 +167,16 @@ def parse_scenario_text(text, label="") -> ScenarioFile:
             schema_seen = True
             continue
 
+        if record in declared:
+            ident = _record_id(lineno, record, rest, declared[record])
         if record == "resource":
-            if not rest or "=" in rest[0]:
-                _fail(lineno, "resource needs an id")
             kv = _fields(lineno, rest[1:], {"capacity"}, ())
-            cap = _float(lineno, "capacity", kv["capacity"]) if "capacity" in kv else 1.0
-            resources_.append(Resource(rest[0], cap))
+            cap = _value(lineno, "capacity", kv["capacity"]) if "capacity" in kv else 1.0
+            resources_.append(Resource(ident, cap))
         elif record == "slice":
-            if not rest or "=" in rest[0]:
-                _fail(lineno, "slice needs an id")
             kv = _fields(lineno, rest[1:], {"share"}, ("share",))
-            slices.append(SliceSpec(rest[0], _float(lineno, "share", kv["share"])))
+            slices.append(SliceSpec(ident, _value(lineno, "share", kv["share"])))
         elif record == "class":
-            if not rest or "=" in rest[0]:
-                _fail(lineno, "class needs an id")
             kv = _fields(lineno, rest[1:],
                          {"slice", "demand", "arrival_rate", "mean_workload",
                           "workload"},
@@ -166,15 +188,17 @@ def parse_scenario_text(text, label="") -> ScenarioFile:
                     _fail(lineno, f"demand entries are <resource>:<value>, got {part!r}")
                 if rid in demand:
                     _fail(lineno, f"duplicate demand resource {rid!r}")
-                demand[rid] = _float(lineno, "demand", val)
+                demand[rid] = _value(lineno, "demand", val, zero_ok=True)
+            if not any(demand.values()):
+                _fail(lineno, "demand must be > 0 on some resource")
             wl = kv.get("workload", "exp")
             if wl not in ("exp", "det"):
                 _fail(lineno, f"workload must be exp or det, got {wl!r}")
             classes.append(UserClass(
-                rest[0], kv["slice"], demand,
-                arrival_rate=_float(lineno, "arrival_rate", kv["arrival_rate"])
+                ident, kv["slice"], demand,
+                arrival_rate=_value(lineno, "arrival_rate", kv["arrival_rate"], zero_ok=True)
                 if "arrival_rate" in kv else 0.0,
-                mean_workload=_float(lineno, "mean_workload", kv["mean_workload"])
+                mean_workload=_value(lineno, "mean_workload", kv["mean_workload"])
                 if "mean_workload" in kv else 1.0,
                 workload=EXPONENTIAL if wl == "exp" else DETERMINISTIC))
         elif record == "run":
@@ -190,9 +214,7 @@ def parse_scenario_text(text, label="") -> ScenarioFile:
                     engines.append(EngineSpec.from_string(e))
                 except ValidationError as exc:
                     _fail(lineno, f"{exc} at run.engine")
-            horizon = _float(lineno, "horizon", kv["horizon"])
-            if not (0.0 < horizon < math.inf):
-                _fail(lineno, f"horizon must be finite and > 0, got {kv['horizon']!r}")
+            horizon = _value(lineno, "horizon", kv["horizon"])
             warmup = _float(lineno, "warmup", kv["warmup"]) if "warmup" in kv else 0.1
             if not (0.0 <= warmup < 1.0):
                 _fail(lineno, f"warmup must be in [0, 1), got {kv['warmup']!r}")
@@ -203,6 +225,7 @@ def parse_scenario_text(text, label="") -> ScenarioFile:
                 _parse_seeds(lineno, kv["seeds"]) if "seeds" in kv else (0,),
                 _positive_int(lineno, "max_departures", kv["max_departures"])
                 if "max_departures" in kv else None)
+            run_line = lineno
         elif record == "sweep":
             if sweep is not None:
                 _fail(lineno, "duplicate sweep record")
@@ -223,6 +246,15 @@ def parse_scenario_text(text, label="") -> ScenarioFile:
         raise ScenarioParseError("empty scenario file")
     if run is None:
         raise ScenarioParseError("missing run record")
+    for kind, ids in declared.items():
+        if not ids:
+            _fail(run_line, f"run needs at least one {kind} record")
+    for cl in classes:
+        if cl.slice_id not in declared["slice"]:
+            _fail(declared["class"][cl.id], f"unknown slice {cl.slice_id!r}")
+        for rid in cl.demand:
+            if rid not in declared["resource"]:
+                _fail(declared["class"][cl.id], f"unknown demand resource {rid!r}")
     inst = validate_instance(Instance(tuple(resources_), tuple(slices),
                                       tuple(classes)))
     sf = ScenarioFile(label, inst, run, sweep)

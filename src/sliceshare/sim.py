@@ -7,11 +7,13 @@ are exact, so there is no time-stepping error.  Traffic randomness is
 engine-independent: each class owns one stream of (arrival time, workload)
 pairs, drawn from labeled substreams of the scenario seed (or read from a
 fixed `arrival_schedule`), and engines never touch it, so runs that differ
-only in the engine share identical arrival/workload sample paths.  A
-user's workload is fixed at arrival and never resampled.
+only in the engine share identical arrival/workload sample paths; sampled
+streams take `_BLOCK` draws per numpy call, the same values as one at a time.
+A user's workload is fixed at arrival and never resampled.
 
 Each event costs O(classes): `step` keeps `n_users == sum(counts)` and
-`n_busy` == the number of slices with a user.  Per-user rates are divided
+`n_busy` == the number of slices with a user, and calls `_allocate` only for
+a population its allocation-cache lookup misses.  Per-user rates are divided
 out per event, not cached with the allocations: most fig7 populations are
 visited once, so caching them costs memory and saves no measurable time.
 """
@@ -19,6 +21,7 @@ visited once, so caching them costs memory and saves no measurable time.
 import heapq
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -190,14 +193,20 @@ def _class_rng(seed, class_idx, label):
     return np.random.default_rng(np.random.SeedSequence((seed, class_idx, label)))
 
 
+_BLOCK = 512     # draws per numpy call in a class's arrival stream
+
+
 def _poisson_arrivals(seed, c, cl):
     """Class c's (arrival time, workload) pairs from its substreams 0 and 1."""
+    if not cl.arrival_rate > 0:
+        return
     arr, work = _class_rng(seed, c, 0), _class_rng(seed, c, 1)
-    t = 0.0
-    while cl.arrival_rate > 0:
-        t += arr.exponential(1.0 / cl.arrival_rate)
-        yield t, (cl.mean_workload if cl.workload == DETERMINISTIC
-                  else float(work.exponential(cl.mean_workload)))
+    scale, t, mean = 1.0 / cl.arrival_rate, 0.0, cl.mean_workload
+    while True:
+        times = list(accumulate(arr.exponential(scale, _BLOCK).tolist(), initial=t))
+        t = times[-1]
+        yield from zip(times[1:], repeat(mean) if cl.workload == DETERMINISTIC
+                       else work.exponential(mean, _BLOCK).tolist())
 
 
 _NO_ARRIVAL = (math.inf, 0.0)
@@ -265,14 +274,9 @@ class Simulation:
         self.trace_events = []
 
     def _allocate(self):
-        """Set rates, alloc_id and the warm duals for counts."""
+        """Solve counts, a population not in the cache; set rates, alloc_id
+        and the warm duals."""
         key = tuple(self.counts)
-        hit = self._alloc_cache.get(key)
-        if hit is not None:
-            # consecutive events differ by one user, so the duals of the
-            # population just revisited are the best warm start available
-            self.rates, self.alloc_id, self._warm = hit
-            return
         duals = self._warm
         if not any(self.counts):
             rates = (0.0,) * self.inst.n_classes
@@ -333,18 +337,11 @@ class Simulation:
             q += 1
         self.quarter = q
         while q < 4 and bounds[q] < t1:
-            o0, o1 = max(t0, bounds[q]), min(t1, bounds[q + 1])
+            lo, hi = bounds[q], bounds[q + 1]
+            o0, o1 = (lo if lo > t0 else t0), (hi if hi < t1 else t1)
             if o1 > o0:
                 self.quarter_integrals[q] += total * (o1 - o0)
             q += 1
-
-    def _advance_offsets(self, dt):
-        if dt <= 0:
-            return
-        offsets, rates = self.offsets, self.rates
-        for c, n in enumerate(self.counts):
-            if n and rates[c] > 0:
-                offsets[c] += rates[c] / n * dt
 
     def step(self):
         """Apply the next event; False once the horizon is reached."""
@@ -356,15 +353,20 @@ class Simulation:
             return False
         te, kind, c, uid = ev
         self._accumulate(self.t, te)
-        self._advance_offsets(te - self.t)
+        counts, slice_counts, offsets = self.counts, self.slice_counts, self.offsets
+        dt = te - self.t
+        if dt > 0:
+            rates = self.rates
+            for i, n in enumerate(counts):
+                if n and rates[i] > 0:
+                    offsets[i] += rates[i] / n * dt
         self.t = te
         slice_idx = self.class_slice[c]
-        counts, slice_counts = self.counts, self.slice_counts
 
         if kind == "departure":
             key, uid, t_arr, work = heapq.heappop(self.users[c])
             counts[c] -= 1
-            self.offsets[c] = key if counts[c] else 0.0
+            offsets[c] = key if counts[c] else 0.0
             self.n_users -= 1
             slice_counts[slice_idx] -= 1
             if not slice_counts[slice_idx]:
@@ -381,14 +383,20 @@ class Simulation:
                                                            _NO_ARRIVAL)
             uid = self.next_uid
             self.next_uid += 1
-            heapq.heappush(self.users[c], (work + self.offsets[c], uid, te, work))
+            heapq.heappush(self.users[c], (work + offsets[c], uid, te, work))
             counts[c] += 1
             self.n_users += 1
             if not slice_counts[slice_idx]:
                 self.n_busy += 1
             slice_counts[slice_idx] += 1
 
-        self._allocate()
+        hit = self._alloc_cache.get(tuple(counts))
+        if hit is None:
+            self._allocate()
+        else:
+            # consecutive events differ by one user, so the duals of the
+            # population just revisited are the best warm start available
+            self.rates, self.alloc_id, self._warm = hit
         self.events_done += 1
         if self.keep_trace:
             self.trace_events.append(TraceEvent(

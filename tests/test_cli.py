@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sliceshare.model import ValidationError
 from sliceshare.engines import SolverError
@@ -294,6 +295,99 @@ def test_bad_run_record_exits_1_with_line(tmp_path, capsys, old, new, needle):
     err = capsys.readouterr().err
     assert "line 7:" in err
     assert needle in err
+
+
+@pytest.mark.parametrize("old,new,line,needle", [
+    ("resource r1", "resource r1 capacity=nan", 2, "capacity must be finite and > 0"),
+    ("resource r1", "resource r1 capacity=-1", 2, "capacity must be finite and > 0"),
+    ("slice s1 share=0.5", "slice s1 share=nan", 3, "share must be finite and > 0"),
+    ("slice s1 share=0.5", "slice s1 share=0", 3, "share must be finite and > 0"),
+    ("demand=r1:1", "demand=r1:nan", 5, "demand must be finite and >= 0"),
+    ("demand=r1:1", "demand=r1:-1", 5, "demand must be finite and >= 0"),
+    ("demand=r1:1", "demand=r1:0", 5, "demand must be > 0 on some resource"),
+    ("arrival_rate=0.3", "arrival_rate=inf", 5, "arrival_rate must be finite and >= 0"),
+    ("arrival_rate=0.3", "arrival_rate=-0.3", 5, "arrival_rate must be finite and >= 0"),
+    ("arrival_rate=0.3", "arrival_rate=0.3 mean_workload=0", 5,
+     "mean_workload must be finite and > 0"),
+    ("arrival_rate=0.3", "arrival_rate=0.3 mean_workload=nan", 5,
+     "mean_workload must be finite and > 0"),
+    ("resource r1", "resource r1\nresource r1", 3,
+     "duplicate resource id 'r1' (first on line 2)"),
+    ("slice s2", "slice s/2", 4, "slice id 's/2' must be nonempty"),
+    ("slice=s1", "slice=s9", 5, "unknown slice 's9'"),
+    ("demand=r1:1", "demand=r9:1", 5, "unknown demand resource 'r9'"),
+    ("resource r1\n", "", 6, "run needs at least one resource record"),
+])
+def test_bad_instance_record_exits_1_with_line(tmp_path, capsys, old, new, line,
+                                               needle):
+    scen = write(tmp_path, MINIMAL.replace(old, new, 1))
+    assert main(["run", scen, "-o", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ")
+    assert needle in err
+
+
+# per key: values that parse, then values that do not
+GOOD = {"capacity": ["2"], "share": ["0.3"], "slice": ["s1", "s2"],
+        "demand": ["r1:0.5", "r1:1,r1:2"], "arrival_rate": ["0", "0.7"],
+        "mean_workload": ["2"], "workload": ["det"], "engines": ["scs(1),drf"],
+        "horizon": ["9"], "warmup": ["0.2"], "seeds": ["4", "1..3"],
+        "max_departures": ["5"], "key": ["arrival_rate:*", "share:s2"],
+        "values": ["0.2", "0.4,0.6"], "color": ["red"]}
+BAD = ["", "nan", "inf", "-1", "0", "1e999", "abc", "r9:1", "r1:nan", "r1:0",
+       "s9", "x=y", "2..0", "-1..1", "scs(inf)", "magic:s1", "share:s9", ","]
+KEYS = {"resource": ["capacity"], "slice": ["share"],
+        "class": ["slice", "demand", "arrival_rate", "mean_workload", "workload"],
+        "run": ["engines", "horizon", "warmup", "seeds", "max_departures"],
+        "sweep": ["key", "values"], "schema": []}
+IDS = ["r1", "r2", "s1", "s2", "c1", "c2", "c3", "a/b", "=x", ""]
+
+
+def field(key):
+    """key=value, with a value that parses about half the time."""
+    values = st.sampled_from(GOOD.get(key, BAD)) | st.sampled_from(BAD)
+    return values.map(lambda v: f"{key}={v}")
+
+
+@st.composite
+def scenario_texts(draw):
+    """SWEPT with a few record lines edited, dropped, copied or added."""
+    lines = SWEPT.splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(1, len(lines) - 1))     # keep 'schema 1'
+        tok = lines[i].split()
+        keyed = [j for j, t in enumerate(tok) if "=" in t]
+        op = draw(st.sampled_from(["set", "add", "drop", "delete", "copy", "new"]))
+        if op == "set" and keyed:
+            j = draw(st.sampled_from(keyed))
+            tok[j] = draw(field(tok[j].split("=", 1)[0]))
+        elif op == "add" and tok:
+            tok.append(draw(st.sampled_from(KEYS.get(tok[0], []) + ["color"])
+                            .flatmap(field)))
+        elif op == "drop" and len(tok) > 1:
+            del tok[draw(st.integers(1, len(tok) - 1))]
+        elif op == "delete":
+            tok = []
+        elif op == "copy":
+            lines.insert(i, lines[i])
+        elif op == "new":
+            kind = draw(st.sampled_from(sorted(KEYS)))
+            keys = draw(st.lists(st.sampled_from(KEYS[kind] + ["color"]), max_size=4))
+            tok = [kind, draw(st.sampled_from(IDS))] + [draw(field(k)) for k in keys]
+        lines[i] = " ".join(tok)
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(text=scenario_texts())
+def test_scenario_text_parses_or_names_a_line(text):
+    try:
+        parse_scenario_text(text)
+    except ScenarioParseError as e:
+        msg = str(e)
+        if msg not in ("empty scenario file", "missing run record"):
+            m = re.match(r"line (\d+): ", msg)
+            assert m and 1 <= int(m.group(1)) <= len(text.splitlines()), msg
 
 
 @pytest.mark.parametrize("sweep,needle", [

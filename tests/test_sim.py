@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import sliceshare.sim as sim_mod
 from sliceshare.gen import random_instance
 from sliceshare.model import (ValidationError, PopulationState, scwa_weights,
-                              feasibility_report)
+                              feasibility_report, DETERMINISTIC)
 from sliceshare.engines import (SolverOptions, SolverError, solve_alpha_scs,
                                 maxmin_waterfill, static_partition)
 from sliceshare.sim import (ENGINES, EngineSpec, Scenario, Simulation,
@@ -360,6 +361,46 @@ def test_littles_law():
     lam_eff = m.departures / (w1 - w0)
     assert abs(m.mean_population - lam_eff * m.mean_delay) <= \
         0.03 * m.mean_population
+
+
+def one_draw_arrivals(seed, c, cl):
+    """Class c's arrival stream drawn one value per numpy call."""
+    arr, work = _class_rng(seed, c, 0), _class_rng(seed, c, 1)
+    t = 0.0
+    while True:
+        t += arr.exponential(1.0 / cl.arrival_rate)
+        yield t, (cl.mean_workload if cl.workload == DETERMINISTIC
+                  else work.exponential(cl.mean_workload))
+
+
+@pytest.mark.parametrize("workload", ["exponential", "deterministic"])
+def test_block_arrivals_match_one_draw_at_a_time(workload):
+    n = 2 * sim_mod._BLOCK + 37     # crosses two block boundaries
+    for c, cl in enumerate(two_slice_line(0.3, workload).classes):
+        cl = replace(cl, mean_workload=1.7)
+        got = list(islice(sim_mod._poisson_arrivals(11, c, cl), n))
+        assert got == list(islice(one_draw_arrivals(11, c, cl), n))
+        assert all(type(t) is float and type(w) is float for t, w in got)
+        idle = replace(cl, arrival_rate=0.0)
+        assert list(sim_mod._poisson_arrivals(11, c, idle)) == []
+
+
+@pytest.mark.parametrize("name,horizon", [("fig2_symmetric", 4000.0),
+                                          ("fig7_multiresource", 300.0)])
+def test_each_population_is_solved_once(name, horizon, monkeypatch):
+    solved = Counter()
+
+    def counting(inst, pop):
+        solved[pop.counts] += 1
+        return scwa_weights(inst, pop)
+    monkeypatch.setattr(sim_mod, "scwa_weights", counting)
+    inst = load_builtin(name).instance
+    sim = Simulation(Scenario(inst, EngineSpec("maxmin-scs"), horizon, seed=2))
+    sim.run()
+    # the empty population is cached without a solve
+    assert set(solved) == set(sim._alloc_cache) - {(0,) * inst.n_classes}
+    assert set(solved.values()) == {1}
+    assert sim.events_done > len(solved)    # so some events hit the cache
 
 
 def test_determinism_same_seed():
