@@ -5,12 +5,15 @@ shares of the pool to slices.  Each slice serves user classes; a class is
 described by a demand vector giving the fraction of each resource one unit
 of processing rate consumes, plus traffic parameters for the simulator.
 
-`validate_instance` canonicalizes an instance: capacities are rescaled to 1
-(with demand columns rescaled to match) and shares are normalized to sum
-to 1.  Engines and the simulator consume canonical instances only.
-All model types are immutable value objects.
+The records `Resource`, `SliceSpec` and `UserClass` check their own fields
+when built.  `validate_instance` checks the rules across records and
+canonicalizes an instance: capacities are rescaled to 1 (with demand columns
+rescaled to match) and shares are normalized to sum to 1, in new records
+that check the canonical values.  Engines and the simulator consume
+canonical instances only.  All model types are immutable value objects.
 """
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -26,17 +29,45 @@ WORKLOAD_KINDS = (EXPONENTIAL, DETERMINISTIC)
 class ValidationError(ValueError):
     """An instance, population, or weight vector violates the model rules."""
 
+    record = None   # (kind, id) of the instance record at fault, if any
+
+
+_ID_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
+
+
+def _require(ok, kind, ident, msg):
+    """Unless ok, raise ValidationError(msg) about the record (kind, ident)."""
+    if not ok:
+        e = ValidationError(msg)
+        e.record = (kind, ident)
+        raise e
+
+
+def _check_id(kind, ident):
+    _require(ident and set(ident) <= _ID_CHARS, kind, ident,
+             f"{kind} id {ident!r} must be nonempty and use [A-Za-z0-9_-]")
+
 
 @dataclass(frozen=True)
 class Resource:
     id: str
     capacity: float = 1.0
 
+    def __post_init__(self):
+        _check_id("resource", self.id)
+        _require(0 < self.capacity < math.inf, "resource", self.id,
+                 f"resource {self.id!r} capacity must be finite and > 0, got {self.capacity!r}")
+
 
 @dataclass(frozen=True)
 class SliceSpec:
     id: str
     share: float
+
+    def __post_init__(self):
+        _check_id("slice", self.id)
+        _require(0 < self.share < math.inf, "slice", self.id,
+                 f"slice {self.id!r} share must be finite and > 0, got {self.share!r}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +86,22 @@ class UserClass:
     arrival_rate: float = 0.0
     mean_workload: float = 1.0
     workload: str = EXPONENTIAL
+
+    def __post_init__(self):
+        _check_id("class", self.id)
+        name = f"class {self.id!r}"
+        for rid, v in self.demand.items():
+            _require(0 <= v < math.inf, "class", self.id,
+                     f"{name} demand must be finite and >= 0, got {v!r} on {rid!r}")
+        _require(any(self.demand.values()), "class", self.id,
+                 f"{name} has an {'all-zero' if self.demand else 'empty'} demand vector: "
+                 "demand must be > 0 on some resource")
+        _require(0 <= self.arrival_rate < math.inf, "class", self.id,
+                 f"{name} arrival_rate must be finite and >= 0, got {self.arrival_rate!r}")
+        _require(0 < self.mean_workload < math.inf, "class", self.id,
+                 f"{name} mean_workload must be finite and > 0, got {self.mean_workload!r}")
+        _require(self.workload in WORKLOAD_KINDS, "class", self.id,
+                 f"{name} workload must be one of {WORKLOAD_KINDS}, got {self.workload!r}")
 
 
 @dataclass(frozen=True)
@@ -129,19 +176,12 @@ class Instance:
         return tuple(tuple(g) for g in groups)
 
 
-_ID_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
-
-
-def _check_id(kind, ident):
-    if not ident or not set(ident) <= _ID_CHARS:
-        raise ValidationError(f"{kind} id {ident!r} must be nonempty and use [A-Za-z0-9_-]")
-
-
 def validate_instance(instance: Instance) -> Instance:
-    """Check and canonicalize an instance.
+    """Check the rules across records and canonicalize an instance.
 
     Returns a new Instance with unit capacities (demands rescaled by the
-    original capacity) and shares normalized to sum to 1.  Idempotent:
+    original capacity) and shares normalized to sum to 1; a record whose
+    fields fail their checks on that scale is rejected.  Idempotent:
     validating a canonical instance returns an equal instance.
     """
     if not instance.resources:
@@ -150,68 +190,37 @@ def validate_instance(instance: Instance) -> Instance:
         raise ValidationError("instance needs at least one slice")
     if not instance.classes:
         raise ValidationError("instance needs at least one user class")
-
-    seen = set()
-    for r in instance.resources:
-        _check_id("resource", r.id)
-        if r.id in seen:
-            raise ValidationError(f"duplicate resource id {r.id!r}")
-        seen.add(r.id)
-        if not (r.capacity > 0) or not np.isfinite(r.capacity):
-            raise ValidationError(f"resource {r.id!r} capacity must be finite and > 0")
-
-    seen = set()
-    for s in instance.slices:
-        _check_id("slice", s.id)
-        if s.id in seen:
-            raise ValidationError(f"duplicate slice id {s.id!r}")
-        seen.add(s.id)
-        if not (s.share > 0) or not np.isfinite(s.share):
-            raise ValidationError(f"slice {s.id!r} share must be finite and > 0")
+    for kind, records in (("resource", instance.resources),
+                          ("slice", instance.slices), ("class", instance.classes)):
+        seen = set()
+        for r in records:
+            _require(r.id not in seen, kind, r.id, f"duplicate {kind} id {r.id!r}")
+            seen.add(r.id)
 
     cap = {r.id: r.capacity for r in instance.resources}
     slice_ids = {s.id for s in instance.slices}
-    seen = set()
     for c in instance.classes:
-        _check_id("class", c.id)
-        if c.id in seen:
-            raise ValidationError(f"duplicate class id {c.id!r}")
-        seen.add(c.id)
-        if c.slice_id not in slice_ids:
-            raise ValidationError(f"class {c.id!r} references unknown slice {c.slice_id!r}")
-        if not c.demand:
-            raise ValidationError(f"class {c.id!r} has an empty demand vector")
-        positive = 0
-        for rid, v in c.demand.items():
-            if rid not in cap:
-                raise ValidationError(f"class {c.id!r} demands unknown resource {rid!r}")
-            if v < 0 or not np.isfinite(v):
-                raise ValidationError(f"class {c.id!r} demand on {rid!r} must be finite and >= 0")
-            positive += v > 0
-        if positive == 0:
-            raise ValidationError(f"class {c.id!r} has an all-zero demand vector")
-        if c.arrival_rate < 0 or not np.isfinite(c.arrival_rate):
-            raise ValidationError(f"class {c.id!r} arrival_rate must be finite and >= 0")
-        if not (c.mean_workload > 0) or not np.isfinite(c.mean_workload):
-            raise ValidationError(f"class {c.id!r} mean_workload must be finite and > 0")
-        if c.workload not in WORKLOAD_KINDS:
-            raise ValidationError(f"class {c.id!r} workload must be one of {WORKLOAD_KINDS}")
+        _require(c.slice_id in slice_ids, "class", c.id,
+                 f"class {c.id!r} references unknown slice {c.slice_id!r}")
+        for rid in c.demand:
+            _require(rid in cap, "class", c.id,
+                     f"class {c.id!r} has unknown demand resource {rid!r}")
 
     total_share = sum(s.share for s in instance.slices)
-    if abs(total_share - 1.0) > WEIGHT_TOL:
-        slices = tuple(replace(s, share=s.share / total_share) for s in instance.slices)
-    else:
-        slices = instance.slices
-
-    resources = tuple(
-        r if r.capacity == 1.0 else replace(r, capacity=1.0) for r in instance.resources
-    )
-    classes = []
-    for c in instance.classes:
-        demand = {rid: v / cap[rid] for rid, v in c.demand.items()}
-        classes.append(replace(c, demand=demand))
-
-    return Instance(resources=resources, slices=slices, classes=tuple(classes))
+    try:
+        if abs(total_share - 1.0) > WEIGHT_TOL:
+            slices = tuple(replace(s, share=s.share / total_share) for s in instance.slices)
+        else:
+            slices = instance.slices
+        resources = tuple(
+            r if r.capacity == 1.0 else replace(r, capacity=1.0) for r in instance.resources
+        )
+        classes = tuple(replace(c, demand={rid: v / cap[rid] for rid, v in c.demand.items()})
+                        for c in instance.classes)
+    except ValidationError as e:
+        e.args = (f"{e} (canonical scale: unit capacities, shares summing to 1)",)
+        raise
+    return Instance(resources=resources, slices=slices, classes=classes)
 
 
 @dataclass(frozen=True)

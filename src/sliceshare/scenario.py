@@ -15,11 +15,14 @@ Grammar (one record per line; blank lines and '#' comments ignored):
 Engines are the kinds of sliceshare.sim.ENGINES: 'scs(<alpha>)',
 'static-partition(<alpha>)', 'maxmin-scs', 'dps', 'drf', 'drf_unconstrained';
 the table says which take an alpha (finite, > 0).  Seeds are integers >= 0,
-warmup is in [0, 1) and sweep values are finite.  Capacities, shares, mean
-workloads and horizons are finite and > 0; demands and arrival rates are
-finite and >= 0, with some demand > 0.  Ids are unique per record type, and
-classes name declared slices and resources.  Exactly one run record is
-required; the sweep record is optional.  Every rejected record names its line.
+a range names at most _MAX_SEEDS (10,000) of them, and sweep values are
+finite.  Each record the parser builds checks its own values: capacities,
+shares, mean workloads and horizons finite and > 0, demands and arrival
+rates finite and >= 0 with some demand > 0, warmup in [0, 1).
+validate_instance checks unique ids and declared slices and resources, and
+the values again on the canonical scale (unit capacities, shares summing to
+1).  Exactly one run record is required; the sweep record is optional.
+Every rejected record names its line.
 """
 
 import math
@@ -28,8 +31,12 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from .model import (Instance, Resource, SliceSpec, UserClass, ValidationError,
-                    validate_instance, _check_id, EXPONENTIAL, DETERMINISTIC)
+                    validate_instance, EXPONENTIAL, DETERMINISTIC)
 from .sim import EngineSpec, Scenario
+
+_MAX_SEEDS = 10_000     # seeds one range may name; the built-ins use at most 20
+_WORKLOADS = {"exp": EXPONENTIAL, "det": DETERMINISTIC}
+_FLOATS = {"capacity", "share", "arrival_rate", "mean_workload", "horizon", "warmup"}
 
 
 class ScenarioParseError(ValidationError):
@@ -70,6 +77,7 @@ def _fail(lineno, msg):
 
 
 def _fields(lineno, rest, allowed, required):
+    """The key=value tokens as a dict, the values of _FLOATS keys as floats."""
     out = {}
     for tok in rest:
         if "=" not in tok:
@@ -79,7 +87,7 @@ def _fields(lineno, rest, allowed, required):
             _fail(lineno, f"unknown key {k!r}")
         if k in out:
             _fail(lineno, f"duplicate key {k!r}")
-        out[k] = v
+        out[k] = _float(lineno, k, v) if k in _FLOATS else v
     for k in required:
         if k not in out:
             _fail(lineno, f"missing key {k!r}")
@@ -93,22 +101,18 @@ def _float(lineno, key, v):
         _fail(lineno, f"bad number for {key}: {v!r}")
 
 
-def _value(lineno, key, v, zero_ok=False):
-    """v as a finite float > 0, or >= 0 with zero_ok."""
-    x = _float(lineno, key, v)
-    if not (math.isfinite(x) and (x >= 0.0 if zero_ok else x > 0.0)):
-        _fail(lineno, f"{key} must be finite and {'>=' if zero_ok else '>'} 0, got {v!r}")
-    return x
+def _record(lineno, build, *args, **kwargs):
+    """build(*args, **kwargs), its ValidationError re-raised naming lineno."""
+    try:
+        return build(*args, **kwargs)
+    except ValidationError as e:
+        _fail(lineno, str(e))
 
 
 def _record_id(lineno, kind, rest, seen):
-    """The record's id, checked and entered in seen (id -> line number)."""
+    """The record's id, entered in seen (id -> line number)."""
     if not rest or "=" in rest[0]:
         _fail(lineno, f"{kind} needs an id")
-    try:
-        _check_id(kind, rest[0])
-    except ValidationError as e:
-        _fail(lineno, str(e))
     if rest[0] in seen:
         _fail(lineno, f"duplicate {kind} id {rest[0]!r} (first on line {seen[rest[0]]})")
     seen[rest[0]] = lineno
@@ -134,6 +138,8 @@ def _parse_seeds(lineno, v):
             _fail(lineno, f"bad seed range {v!r}")
         if hi < lo:
             _fail(lineno, f"empty seed range {v!r}")
+        if hi - lo >= _MAX_SEEDS:
+            _fail(lineno, f"seed range {v!r} names more than {_MAX_SEEDS} seeds")
         seeds = tuple(range(lo, hi + 1))
     else:
         try:
@@ -171,36 +177,28 @@ def parse_scenario_text(text, label="") -> ScenarioFile:
             ident = _record_id(lineno, record, rest, declared[record])
         if record == "resource":
             kv = _fields(lineno, rest[1:], {"capacity"}, ())
-            cap = _value(lineno, "capacity", kv["capacity"]) if "capacity" in kv else 1.0
-            resources_.append(Resource(ident, cap))
+            resources_.append(_record(lineno, Resource, ident, **kv))
         elif record == "slice":
             kv = _fields(lineno, rest[1:], {"share"}, ("share",))
-            slices.append(SliceSpec(ident, _value(lineno, "share", kv["share"])))
+            slices.append(_record(lineno, SliceSpec, ident, **kv))
         elif record == "class":
             kv = _fields(lineno, rest[1:],
                          {"slice", "demand", "arrival_rate", "mean_workload",
                           "workload"},
                          ("slice", "demand"))
             demand = {}
-            for part in kv["demand"].split(","):
+            for part in kv.pop("demand").split(","):
                 rid, colon, val = part.partition(":")
                 if not colon:
                     _fail(lineno, f"demand entries are <resource>:<value>, got {part!r}")
                 if rid in demand:
                     _fail(lineno, f"duplicate demand resource {rid!r}")
-                demand[rid] = _value(lineno, "demand", val, zero_ok=True)
-            if not any(demand.values()):
-                _fail(lineno, "demand must be > 0 on some resource")
-            wl = kv.get("workload", "exp")
-            if wl not in ("exp", "det"):
+                demand[rid] = _float(lineno, "demand", val)
+            wl = kv.pop("workload", "exp")
+            if wl not in _WORKLOADS:
                 _fail(lineno, f"workload must be exp or det, got {wl!r}")
-            classes.append(UserClass(
-                ident, kv["slice"], demand,
-                arrival_rate=_value(lineno, "arrival_rate", kv["arrival_rate"], zero_ok=True)
-                if "arrival_rate" in kv else 0.0,
-                mean_workload=_value(lineno, "mean_workload", kv["mean_workload"])
-                if "mean_workload" in kv else 1.0,
-                workload=EXPONENTIAL if wl == "exp" else DETERMINISTIC))
+            classes.append(_record(lineno, UserClass, ident, kv.pop("slice"), demand,
+                                   workload=_WORKLOADS[wl], **kv))
         elif record == "run":
             if run is not None:
                 _fail(lineno, "duplicate run record")
@@ -209,22 +207,16 @@ def parse_scenario_text(text, label="") -> ScenarioFile:
                           "max_departures"},
                          ("engines", "horizon"))
             engines = []
-            for e in kv["engines"].split(","):
+            for e in kv.pop("engines").split(","):
                 try:
                     engines.append(EngineSpec.from_string(e))
                 except ValidationError as exc:
                     _fail(lineno, f"{exc} at run.engine")
-            horizon = _value(lineno, "horizon", kv["horizon"])
-            warmup = _float(lineno, "warmup", kv["warmup"]) if "warmup" in kv else 0.1
-            if not (0.0 <= warmup < 1.0):
-                _fail(lineno, f"warmup must be in [0, 1), got {kv['warmup']!r}")
-            run = RunBlock(
-                tuple(engines),
-                horizon,
-                warmup,
-                _parse_seeds(lineno, kv["seeds"]) if "seeds" in kv else (0,),
-                _positive_int(lineno, "max_departures", kv["max_departures"])
-                if "max_departures" in kv else None)
+            seeds = _parse_seeds(lineno, kv.pop("seeds")) if "seeds" in kv else (0,)
+            cap = (_positive_int(lineno, "max_departures", kv.pop("max_departures"))
+                   if "max_departures" in kv else None)
+            times = _record(lineno, Scenario, None, None, **kv)   # checks horizon, warmup
+            run = RunBlock(tuple(engines), times.horizon, times.warmup, seeds, cap)
             run_line = lineno
         elif record == "sweep":
             if sweep is not None:
@@ -249,14 +241,12 @@ def parse_scenario_text(text, label="") -> ScenarioFile:
     for kind, ids in declared.items():
         if not ids:
             _fail(run_line, f"run needs at least one {kind} record")
-    for cl in classes:
-        if cl.slice_id not in declared["slice"]:
-            _fail(declared["class"][cl.id], f"unknown slice {cl.slice_id!r}")
-        for rid in cl.demand:
-            if rid not in declared["resource"]:
-                _fail(declared["class"][cl.id], f"unknown demand resource {rid!r}")
-    inst = validate_instance(Instance(tuple(resources_), tuple(slices),
-                                      tuple(classes)))
+    try:
+        inst = validate_instance(Instance(tuple(resources_), tuple(slices),
+                                          tuple(classes)))
+    except ValidationError as e:
+        kind, ident = e.record
+        _fail(declared[kind][ident], str(e))
     sf = ScenarioFile(label, inst, run, sweep)
     if sweep is not None:
         _check_sweep(sf, sweep_line)

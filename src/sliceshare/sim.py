@@ -110,7 +110,7 @@ class Scenario:
         if not (0 < self.horizon < math.inf):
             raise ValidationError("horizon must be finite and > 0")
         if not (0 <= self.warmup < 1):
-            raise ValidationError("warmup fraction must be in [0, 1)")
+            raise ValidationError("warmup must be in [0, 1)")
 
 
 @dataclass(frozen=True)

@@ -288,6 +288,7 @@ def test_solver_failure_exits_2(tmp_path, monkeypatch, capsys):
     ("seeds=0..2", "seeds=4,-1", "seeds must be >= 0"),
     ("warmup=0", "warmup=2", "warmup must be in [0, 1)"),
     ("warmup=0", "warmup=nan", "warmup must be in [0, 1)"),
+    ("seeds=0..2", "seeds=0..100000000000", "names more than 10000 seeds"),
 ])
 def test_bad_run_record_exits_1_with_line(tmp_path, capsys, old, new, needle):
     scen = write(tmp_path, MINIMAL.replace(old, new))
@@ -317,6 +318,9 @@ def test_bad_run_record_exits_1_with_line(tmp_path, capsys, old, new, needle):
     ("slice=s1", "slice=s9", 5, "unknown slice 's9'"),
     ("demand=r1:1", "demand=r9:1", 5, "unknown demand resource 'r9'"),
     ("resource r1\n", "", 6, "run needs at least one resource record"),
+    ("resource r1", "resource r1 capacity=1e-320", 5, "demand must be finite and >= 0"),
+    ("share=0.5\nslice s2 share=0.5", "share=1e308\nslice s2 share=1e308", 3,
+     "share must be finite and > 0"),
 ])
 def test_bad_instance_record_exits_1_with_line(tmp_path, capsys, old, new, line,
                                                needle):
@@ -335,7 +339,8 @@ GOOD = {"capacity": ["2"], "share": ["0.3"], "slice": ["s1", "s2"],
         "max_departures": ["5"], "key": ["arrival_rate:*", "share:s2"],
         "values": ["0.2", "0.4,0.6"], "color": ["red"]}
 BAD = ["", "nan", "inf", "-1", "0", "1e999", "abc", "r9:1", "r1:nan", "r1:0",
-       "s9", "x=y", "2..0", "-1..1", "scs(inf)", "magic:s1", "share:s9", ","]
+       "s9", "x=y", "2..0", "-1..1", "scs(inf)", "magic:s1", "share:s9", ",",
+       "5e-324", "1e-320", "1e308"]
 KEYS = {"resource": ["capacity"], "slice": ["share"],
         "class": ["slice", "demand", "arrival_rate", "mean_workload", "workload"],
         "run": ["engines", "horizon", "warmup", "seeds", "max_departures"],

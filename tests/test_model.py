@@ -48,6 +48,12 @@ def test_validation_is_idempotent(three_user):
     (lambda i: Instance(i.resources, i.slices,
                         i.classes + (UserClass("bad id!", "s1", {"r1": 1.0}),)),
      "id"),
+    (lambda i: Resource("r1", 0.0), "capacity must be finite and > 0"),
+    (lambda i: UserClass("cX", "s1", {"r1": 1.0}, workload="weibull"), "workload"),
+    (lambda i: Instance((Resource("r1", 1e-320),), i.slices, i.classes),
+     "demand must be finite and >= 0, got inf"),
+    (lambda i: Instance(i.resources, (SliceSpec("s1", 1e308), SliceSpec("s2", 1e308)),
+                        i.classes), "share must be finite and > 0, got 0.0"),
 ])
 def test_validation_rejections(single_resource, mutate, msg):
     with pytest.raises(ValidationError, match=msg):
