@@ -169,9 +169,12 @@ def _price_iteration(Dn, g, alpha, opts, warm=None):
 def _solve_with_caps(instance, q_full, alpha, caps, opts, warm_duals=None):
     """Price-iteration wrapper for arbitrary per-resource capacity vectors.
 
-    Classes that demand any zero-capacity resource are pinned to rate 0.
-    Returned duals are on the original capacity scale.
+    alpha must be finite and > 0.  Classes that demand any zero-capacity
+    resource are pinned to rate 0, and with no class left every rate and
+    dual is 0.  Returned duals are on the original capacity scale.
     """
+    if not (alpha > 0) or not np.isfinite(alpha):
+        raise ValidationError("alpha must be finite and > 0")
     D = instance.demand_matrix
     caps = np.asarray(caps, float)
     n_cls, n_res = D.shape
@@ -212,8 +215,6 @@ def _solve_with_caps(instance, q_full, alpha, caps, opts, warm_duals=None):
 def solve_alpha_scs(instance, weights, alpha, opts=DEFAULT_OPTIONS,
                     warm_duals=None) -> SolveResult:
     """Alpha-fair allocation under per-user share-constrained weights."""
-    if not (alpha > 0) or not np.isfinite(alpha):
-        raise ValidationError("alpha must be finite and > 0")
     q = _weight_array(weights)
     if not (q > 0).any():
         raise ValidationError("all-zero weights")
@@ -258,21 +259,15 @@ def static_partition(instance, weights, alpha, opts=DEFAULT_OPTIONS) -> dict[str
 
     Slice v gets capacity share_v of each resource and allocates it to its
     own classes with the same alpha-fair objective.  Returns a SolveResult
-    per slice id; rates vectors are full length with zeros off-slice.
+    per slice id; rates vectors are full length with zeros off-slice, and
+    an idle slice's result is all zeros.
     """
-    if not (alpha > 0) or not np.isfinite(alpha):
-        raise ValidationError("alpha must be finite and > 0")
     q = _weight_array(weights)
     results = {}
     for v, s in enumerate(instance.slices):
         qv = np.zeros_like(q)
         idx = list(instance.slice_classes[v])
         qv[idx] = q[idx]
-        if not (qv > 0).any():
-            results[s.id] = SolveResult(
-                Allocation((0.0,) * len(q), (0.0,) * instance.n_resources),
-                0, Residuals(0.0, 0.0))
-            continue
         caps = np.full(instance.n_resources, s.share)
         results[s.id] = _solve_with_caps(instance, qv, alpha, caps, opts)
     return results

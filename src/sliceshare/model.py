@@ -327,15 +327,15 @@ class Allocation:
 class FeasibilityReport:
     usage: dict[str, float]
     violations: tuple[tuple[str, float], ...]
-    tol: float
 
     @property
     def feasible(self) -> bool:
         return not self.violations
 
 
-def feasibility_report(instance, allocation, tol=FEASIBILITY_TOL) -> FeasibilityReport:
-    """Per-resource usage of an allocation against the unit capacities.
+def feasibility_report(instance, allocation) -> FeasibilityReport:
+    """Per-resource usage of an allocation against the unit capacities;
+    usage above 1 + FEASIBILITY_TOL is a violation.
 
     Accumulates in plain class order so repeated calls are bit-identical.
     """
@@ -354,6 +354,6 @@ def feasibility_report(instance, allocation, tol=FEASIBILITY_TOL) -> Feasibility
             if d:
                 u += d * rates[i]
         usage[rid] = u
-        if u > 1.0 + tol:
+        if u > 1.0 + FEASIBILITY_TOL:
             violations.append((rid, u - 1.0))
-    return FeasibilityReport(usage=usage, violations=tuple(violations), tol=tol)
+    return FeasibilityReport(usage=usage, violations=tuple(violations))

@@ -17,12 +17,13 @@ Engines are the kinds of sliceshare.sim.ENGINES: 'scs(<alpha>)',
 the table says which take an alpha (finite, > 0).  Seeds are integers >= 0,
 a range names at most _MAX_SEEDS (10,000) of them, and sweep values are
 finite.  Each record the parser builds checks its own values: capacities,
-shares, mean workloads and horizons finite and > 0, demands and arrival
-rates finite and >= 0 with some demand > 0, warmup in [0, 1).
-validate_instance checks unique ids and declared slices and resources, and
-the values again on the canonical scale (unit capacities, shares summing to
-1).  Exactly one run record is required; the sweep record is optional.
-Every rejected record names its line.
+shares and mean workloads finite and > 0, demands and arrival rates finite
+and >= 0 with some demand > 0.  validate_instance checks unique ids and
+declared slices and resources, and the values again on the canonical scale
+(unit capacities, shares summing to 1).  The Scenario of the run record,
+and of each sweep value, checks horizon (finite, > 0), warmup (in [0, 1))
+and the arrivals a run expects.  Exactly one run record is required; the
+sweep record is optional.  Every rejected record names its line.
 """
 
 import math
@@ -215,8 +216,7 @@ def parse_scenario_text(text, label="") -> ScenarioFile:
             seeds = _parse_seeds(lineno, kv.pop("seeds")) if "seeds" in kv else (0,)
             cap = (_positive_int(lineno, "max_departures", kv.pop("max_departures"))
                    if "max_departures" in kv else None)
-            times = _record(lineno, Scenario, None, None, **kv)   # checks horizon, warmup
-            run = RunBlock(tuple(engines), times.horizon, times.warmup, seeds, cap)
+            run = RunBlock(tuple(engines), seeds=seeds, max_departures=cap, **kv)
             run_line = lineno
         elif record == "sweep":
             if sweep is not None:
@@ -248,8 +248,11 @@ def parse_scenario_text(text, label="") -> ScenarioFile:
         kind, ident = e.record
         _fail(declared[kind][ident], str(e))
     sf = ScenarioFile(label, inst, run, sweep)
+    _record(run_line, sf.scenario, run.engines[0], run.seeds[0])
     if sweep is not None:
         _check_sweep(sf, sweep_line)
+        for v in sweep.values:
+            _record(sweep_line, sf.scenario, run.engines[0], run.seeds[0], v)
     return sf
 
 
@@ -263,12 +266,8 @@ def _check_sweep(sf, lineno):
         for v in sw.values:
             if not (0.0 < v < 1.0):
                 _fail(lineno, f"swept share {v:g} outside (0, 1) (sweep.values)")
-    else:
-        if sw.target != "*" and sw.target not in sf.instance.class_index:
-            _fail(lineno, f"unknown class {sw.target!r} (sweep.key)")
-        for v in sw.values:
-            if v < 0:
-                _fail(lineno, f"negative arrival rate {v:g} (sweep.values)")
+    elif sw.target != "*" and sw.target not in sf.instance.class_index:
+        _fail(lineno, f"unknown class {sw.target!r} (sweep.key)")
 
 
 def apply_sweep(sf, value) -> Instance:

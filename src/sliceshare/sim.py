@@ -9,7 +9,9 @@ pairs, drawn from labeled substreams of the scenario seed (or read from a
 fixed `arrival_schedule`), and engines never touch it, so runs that differ
 only in the engine share identical arrival/workload sample paths; sampled
 streams take `_BLOCK` draws per numpy call, the same values as one at a time.
-A user's workload is fixed at arrival and never resampled.
+A user's workload is fixed at arrival and never resampled.  A Scenario
+expects at most `_MAX_ARRIVALS` arrivals (horizon x total arrival rate).
+Every solve runs at the engines' default solver options.
 
 Each event costs O(classes): `step` keeps `n_users == sum(counts)` and
 `n_busy` == the number of slices with a user, and calls `_allocate` only for
@@ -28,28 +30,27 @@ import numpy as np
 from .model import (PopulationState, ValidationError, scwa_weights,
                     drf_weights, dps_weights, drf_unconstrained_weights,
                     DETERMINISTIC)
-from .engines import (DEFAULT_OPTIONS, SolverError, solve_alpha_scs,
-                      maxmin_waterfill, static_partition)
+from .engines import SolverError, solve_alpha_scs, maxmin_waterfill, static_partition
 
 
-def _waterfill(inst, q, alpha, opts, warm):
+def _waterfill(inst, q, alpha, warm):
     return maxmin_waterfill(inst, q).allocation.rates, None
 
 
-def _alpha_fair(inst, q, alpha, opts, warm):
-    alloc = solve_alpha_scs(inst, q, alpha, opts, warm_duals=warm).allocation
+def _alpha_fair(inst, q, alpha, warm):
+    alloc = solve_alpha_scs(inst, q, alpha, warm_duals=warm).allocation
     return alloc.rates, alloc.duals
 
 
-def _partition(inst, q, alpha, opts, warm):
+def _partition(inst, q, alpha, warm):
     total = [0.0] * inst.n_classes
-    for r in static_partition(inst, q, alpha, opts).values():
+    for r in static_partition(inst, q, alpha).values():
         total = [a + b for a, b in zip(total, r.allocation.rates)]
     return tuple(total), None
 
 
 # engine kind -> (weight rule, solve, takes alpha); a solve maps (instance,
-# weights, alpha, opts, warm duals) to (rates, duals).  Both call this module's
+# weights, alpha, warm duals) to (rates, duals).  Both call this module's
 # globals by name, so a function replaced here (by a test or a tracer) is used.
 ENGINES = {
     "scs": (lambda inst, pop: scwa_weights(inst, pop), _alpha_fair, True),
@@ -111,6 +112,10 @@ class Scenario:
             raise ValidationError("horizon must be finite and > 0")
         if not (0 <= self.warmup < 1):
             raise ValidationError("warmup must be in [0, 1)")
+        expected = self.horizon * sum(c.arrival_rate for c in self.instance.classes)
+        if not expected <= _MAX_ARRIVALS:
+            raise ValidationError(f"horizon x total arrival rate expects {expected:g} "
+                                  f"arrivals, more than {_MAX_ARRIVALS:g}")
 
 
 @dataclass(frozen=True)
@@ -194,6 +199,7 @@ def _class_rng(seed, class_idx, label):
 
 
 _BLOCK = 512     # draws per numpy call in a class's arrival stream
+_MAX_ARRIVALS = 1e9     # expected arrivals per run; fig2's built-in run expects 2.1e5
 
 
 def _poisson_arrivals(seed, c, cl):
@@ -216,11 +222,9 @@ class Simulation:
     """One deterministic run.  Mutable; create fresh per run.  A fixed
     arrival_schedule [(time, class_id, workload), ...] replaces every sampled arrival."""
 
-    def __init__(self, scenario, keep_trace=False, arrival_schedule=None,
-                 opts=DEFAULT_OPTIONS):
+    def __init__(self, scenario, keep_trace=False, arrival_schedule=None):
         self.scenario = scenario
         self.inst = scenario.instance
-        self.opts = opts
         n_cls = self.inst.n_classes
         self.t = 0.0
         self.horizon = scenario.horizon
@@ -285,8 +289,7 @@ class Simulation:
             rule, solve, _ = ENGINES[engine.kind]
             q = rule(self.inst, PopulationState(key))
             try:
-                rates, duals = solve(self.inst, q, engine.alpha, self.opts,
-                                     self._warm)
+                rates, duals = solve(self.inst, q, engine.alpha, self._warm)
             except SolverError as e:
                 raise SolverError(
                     f"engine failed at event {self.events_done} "
@@ -442,9 +445,8 @@ class Simulation:
                      self.inst.n_slices)
 
 
-def run_simulation(scenario, keep_trace=False, opts=DEFAULT_OPTIONS,
-                   **kwargs) -> RunResult:
-    return Simulation(scenario, keep_trace=keep_trace, opts=opts, **kwargs).run()
+def run_simulation(scenario, keep_trace=False, **kwargs) -> RunResult:
+    return Simulation(scenario, keep_trace=keep_trace, **kwargs).run()
 
 
 def busy_fractions(trace, window) -> tuple[float, ...]:
@@ -478,13 +480,13 @@ def busy_fractions(trace, window) -> tuple[float, ...]:
     return tuple(x / total for x in k_time)
 
 
-def stability_probe(scenario, opts=DEFAULT_OPTIONS):
+def stability_probe(scenario):
     """Effective-load arithmetic plus an empirical growth verdict."""
     inst = scenario.instance
     load = np.zeros(inst.n_resources)
     for i, cl in enumerate(inst.classes):
         load += cl.arrival_rate * cl.mean_workload * inst.demand_matrix[i]
-    metrics = run_simulation(scenario, opts=opts).metrics
+    metrics = run_simulation(scenario).metrics
     return StabilityReport(float(load.max()), metrics.stability_verdict,
                            metrics.quarter_means, metrics)
 
@@ -504,7 +506,7 @@ class Summary:
     values: tuple[float, ...]
 
 
-def replicate(scenario, engines, seeds, opts=DEFAULT_OPTIONS):
+def replicate(scenario, engines, seeds):
     """Independent runs per engine x seed; 95% normal CIs per metric."""
     seeds = list(seeds)
     if len(seeds) < 2:
@@ -515,7 +517,7 @@ def replicate(scenario, engines, seeds, opts=DEFAULT_OPTIONS):
         rows = []
         for seed in seeds:
             sc = replace(scenario, engine=eng, seed=seed)
-            rows.append(run_simulation(sc, opts=opts).metrics.numbers(ids))
+            rows.append(run_simulation(sc).metrics.numbers(ids))
         summ = {}
         for f in rows[0]:
             vals = np.array([r[f] for r in rows], float)

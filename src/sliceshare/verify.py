@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import scwa_weights, PopulationState
+from .model import scwa_weights, PopulationState, ValidationError
 from .engines import SolverOptions, DEFAULT_OPTIONS, solve_alpha_scs
 from .analysis import (factorize, protection_report, envy_report,
                        surrogate_report)
@@ -221,9 +221,12 @@ SUITES = {
 
 
 def run_suite(name, instances=None, meta_seed=7) -> SuiteResult:
+    """Run suite name on instances (>= 1, default the suite's own) from meta_seed >= 0."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choices: {', '.join(SUITES)}")
-    kwargs = {"meta_seed": meta_seed}
-    if instances is not None:
-        kwargs["instances"] = instances
-    return SUITES[name](**kwargs)
+    if instances is not None and instances < 1:
+        raise ValidationError(f"instances must be >= 1, got {instances}")
+    if meta_seed < 0:
+        raise ValidationError(f"meta seed must be >= 0, got {meta_seed}")
+    suite = SUITES[name]
+    return suite(meta_seed=meta_seed) if instances is None else suite(instances, meta_seed)

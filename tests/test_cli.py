@@ -249,6 +249,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["verify", "nonsense"]) == 1
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
+    for bad in (["--meta-seed", "-1"], ["--instances", "0"], ["--instances", "-3"]):
+        capsys.readouterr()
+        assert main(["verify", "factorization"] + bad) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "PASS" not in captured.out
 
 
 def test_verify_command_passes(capsys):
@@ -289,6 +294,7 @@ def test_solver_failure_exits_2(tmp_path, monkeypatch, capsys):
     ("warmup=0", "warmup=2", "warmup must be in [0, 1)"),
     ("warmup=0", "warmup=nan", "warmup must be in [0, 1)"),
     ("seeds=0..2", "seeds=0..100000000000", "names more than 10000 seeds"),
+    ("horizon=60", "horizon=1e300", "expects 6e+299 arrivals, more than 1e+09"),
 ])
 def test_bad_run_record_exits_1_with_line(tmp_path, capsys, old, new, needle):
     scen = write(tmp_path, MINIMAL.replace(old, new))
@@ -321,6 +327,7 @@ def test_bad_run_record_exits_1_with_line(tmp_path, capsys, old, new, needle):
     ("resource r1", "resource r1 capacity=1e-320", 5, "demand must be finite and >= 0"),
     ("share=0.5\nslice s2 share=0.5", "share=1e308\nslice s2 share=1e308", 3,
      "share must be finite and > 0"),
+    ("arrival_rate=0.3", "arrival_rate=1e308", 7, "expects inf arrivals"),
 ])
 def test_bad_instance_record_exits_1_with_line(tmp_path, capsys, old, new, line,
                                                needle):
@@ -400,6 +407,8 @@ def test_scenario_text_parses_or_names_a_line(text):
     ("sweep key=arrival_rate:* values=nan", "sweep values must be finite"),
     ("sweep key=share:s1 values=1.5", "outside (0, 1)"),
     ("sweep key=arrival_rate:c9 values=0.5", "unknown class"),
+    ("sweep key=arrival_rate:c1 values=0.3,1e308", "expects inf arrivals"),
+    ("sweep key=arrival_rate:* values=0.3,-0.5", "arrival_rate must be finite and >= 0"),
 ])
 def test_bad_sweep_record_exits_1_with_line(tmp_path, capsys, sweep, needle):
     scen = write(tmp_path, SWEPT.replace("sweep key=share:s1 values=0.3,0.5,0.7",

@@ -7,7 +7,7 @@ from sliceshare.model import (PopulationState, scwa_weights, ValidationError,
 from sliceshare.engines import (DEFAULT_OPTIONS, SolverOptions, SolverError,
                                 solve_alpha_scs, maxmin_waterfill,
                                 static_partition)
-from sliceshare.analysis import utility
+from sliceshare.analysis import utility, envy_report
 from sliceshare.oracle import oracle_concave_opt, oracle_maxmin
 from sliceshare.gen import random_instance, random_scwa_weights
 from sliceshare.scenario import load_builtin
@@ -67,6 +67,18 @@ def test_all_zero_weights_rejected(single_resource):
         solve_alpha_scs(single_resource, (0.0, 0.0), 1.0)
     with pytest.raises(ValidationError, match="alpha"):
         solve_alpha_scs(single_resource, (0.3, 0.7), 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("inf"), float("nan")])
+def test_every_alpha_engine_rejects_bad_alpha(three_user, alpha):
+    with pytest.raises(ValidationError, match="alpha must be finite and > 0"):
+        solve_alpha_scs(three_user, Q3, alpha)
+    with pytest.raises(ValidationError, match="alpha must be finite and > 0"):
+        static_partition(three_user, Q3, alpha)
+    # a precomputed shared solve leaves only the swapped solve to check alpha
+    full = solve_alpha_scs(three_user, Q3, 1.0)
+    with pytest.raises(ValidationError, match="alpha must be finite and > 0"):
+        envy_report(three_user, Q3, alpha, "s1", "s2", full=full)
 
 
 def test_nonconvergence_raises_with_residuals(three_user):

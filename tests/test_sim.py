@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from functools import partial
 from dataclasses import replace
 from itertools import islice
 
@@ -456,9 +457,12 @@ def test_max_departures_stops_early():
     assert m.window[1] < 100_000.0
 
 
-def test_engine_failure_reports_event():
+def test_engine_failure_reports_event(monkeypatch):
     # coupled resources converge geometrically, so a starved iteration
     # budget must surface as an abort naming the failing event
+    starved = SolverOptions(tol=1e-16, max_iters=3)
+    monkeypatch.setattr(sim_mod, "solve_alpha_scs", partial(solve_alpha_scs, opts=starved))
+    monkeypatch.setattr(sim_mod, "static_partition", partial(static_partition, opts=starved))
     inst = make_instance(
         ["r1", "r2"],
         [("s1", 0.5), ("s2", 0.5)],
@@ -467,7 +471,7 @@ def test_engine_failure_reports_event():
     for engine in ("scs(1)", "static-partition(1)"):
         sc = Scenario(inst, EngineSpec.from_string(engine), horizon=50.0, seed=0)
         with pytest.raises(SolverError, match="event"):
-            run_simulation(sc, opts=SolverOptions(tol=1e-16, max_iters=3))
+            run_simulation(sc)
 
 
 def test_stability_probe_trivial_and_verdicts():
